@@ -20,9 +20,11 @@ Two variants are provided:
 The recursion is array-native: a subproblem is three parallel edge arrays,
 the vertex → supernode map is one flat ``cluster_of`` array shared by the
 whole recursion (every subproblem overwrites only its own vertices, and
-leaves them bound to its finished root), light components are grouped with a
-stable argsort of their union-find labels (first-occurrence component order,
-matching the previous semisort grouping), and supernode redirections are
+leaves them bound to its finished root), light components are labelled by
+:func:`connected_components` (min-label hooking plus pointer jumping, the
+array form of the paper's parallel connectivity step) and grouped with a
+stable argsort of those labels (first-occurrence component order, so the
+grouping depends only on the partition), and supernode redirections are
 applied through a reusable identity ``remap`` array instead of per-vertex
 dict rebuilds.  The base case shares the bulk merge sweep
 (:func:`repro.dendrogram.sequential.merge_edges_bottom_up`) with the
@@ -52,6 +54,42 @@ from repro.parallel.scheduler import current_tracker
 from repro.parallel.unionfind import UnionFind
 
 Edge = Tuple[int, int, float]
+
+
+def connected_components(
+    u: np.ndarray, v: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """Label every node of the graph ``(u, v)`` with its component's least id.
+
+    Vectorized connectivity over nodes ``0 .. num_nodes-1``: each round
+    hooks the larger root of every edge that still crosses two trees onto
+    the smaller one (``np.minimum.at``, so a root takes its least adjacent
+    root), then pointer-jumps the forest flat.  Parents only ever decrease,
+    so no cycle forms and each root is the least id of its tree; every
+    tree with a crossing edge merges each round, so at most ``log2`` of the
+    component count rounds run.  Edges inside one tree are dropped as soon
+    as they stop crossing.
+    """
+    parent = np.arange(num_nodes, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    while True:
+        root_u, root_v = parent[u], parent[v]
+        crossing = root_u != root_v
+        if not crossing.any():
+            return parent
+        u, v = u[crossing], v[crossing]
+        root_u, root_v = root_u[crossing], root_v[crossing]
+        np.minimum.at(
+            parent,
+            np.maximum(root_u, root_v),
+            np.minimum(root_u, root_v),
+        )
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def _light_component_slices(
@@ -121,12 +159,13 @@ def _build_recursive(
     # supernode already).
     rep_u = cluster_of[light_u]
     rep_v = cluster_of[light_v]
-    supernodes = np.unique(np.concatenate([rep_u, rep_v]))
-    union_find = UnionFind(int(supernodes.shape[0]))
-    union_find.union_many(
-        np.searchsorted(supernodes, rep_u), np.searchsorted(supernodes, rep_v)
+    supernodes, local = np.unique(
+        np.concatenate([rep_u, rep_v]), return_inverse=True
     )
-    labels = union_find.roots()[np.searchsorted(supernodes, rep_u)]
+    local_u = local[:threshold_index]
+    labels = connected_components(
+        local_u, local[threshold_index:], int(supernodes.shape[0])
+    )[local_u]
 
     # Recursively build every light subproblem; its root becomes the
     # representative of every supernode the component absorbed.  The remap is

@@ -1,9 +1,10 @@
 """Incremental insert/delete engine with cold-refit byte-conformance.
 
 ``fit_dynamic`` produces an updatable :class:`~repro.serve.state.FitState`;
-``insert_batch`` / ``delete_batch`` return an updated state that is
-byte-identical to a cold ``fit_dynamic`` of the surviving points.  See
-:mod:`repro.dynamic.engine` for the repair model.
+``update_batch`` applies a batch of deletes and inserts in one repair pass
+and one rebuild (``delete_batch`` / ``insert_batch`` are its one-sided
+forms), returning a state byte-identical to a cold ``fit_dynamic`` of the
+surviving points.  See :mod:`repro.dynamic.engine` for the repair model.
 """
 
 from repro.dynamic.engine import (
@@ -12,6 +13,7 @@ from repro.dynamic.engine import (
     delete_batch,
     fit_dynamic,
     insert_batch,
+    update_batch,
 )
 from repro.mst.canonical import canonical_mst_arrays
 
@@ -22,4 +24,5 @@ __all__ = [
     "delete_batch",
     "fit_dynamic",
     "insert_batch",
+    "update_batch",
 ]

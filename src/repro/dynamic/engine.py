@@ -7,8 +7,10 @@ provably unchanged: a core distance can only move when the update lands
 inside the point's current core radius, and a WSPD pair's minimum
 mutual-reachability edge can only move when a member dies, a member's core
 distance changes, or a certified lower bound says a changed point could
-undercut the cached winner.  :func:`insert_batch` / :func:`delete_batch`
-exploit exactly that:
+undercut the cached winner.  :func:`update_batch` exploits exactly that,
+folding a batch of deletes and a batch of inserts into **one** repair pass
+and one state rebuild (:func:`insert_batch` / :func:`delete_batch` are its
+one-sided forms):
 
 * the *base* tree (a leaf-size-1 kd-tree over the points present at the
   last cold fit) is tombstoned, never restructured: deletions flip an
@@ -19,7 +21,7 @@ exploit exactly that:
   per-point separation descent and against each other by a tiny WSPD of
   their own; a log-scheduled full rebuild folds the buffer in (or drops
   the tombstones) before either side grows past a fixed fraction of n;
-* every update re-assembles the state through one shared path — exact
+* every update re-assembles the state once, through one shared path — exact
   candidate edge weights via :meth:`Metric.exact_edge_weights`, the
   canonical MST normal form of :func:`repro.mst.canonical_mst_arrays`, a
   fresh top-down dendrogram and condensed tree — the same path a cold
@@ -204,8 +206,8 @@ def fit_dynamic(
 ) -> FitState:
     """Cold fit producing an updatable :class:`FitState` (``method="dynamic"``).
 
-    This is the refit that :func:`insert_batch` / :func:`delete_batch` are
-    byte-conformant against.  It differs from
+    This is the refit that :func:`update_batch` is byte-conformant
+    against.  It differs from
     :func:`repro.serve.state.fit_state` in two deliberate ways: core
     distances go through the kd-tree path (tree-structure independent, hence
     recomputable for an arbitrary subset of points after an update), and the
@@ -513,6 +515,54 @@ def _adopt(state: FitState, num_threads: Optional[int]) -> FitState:
     )
 
 
+def _coerce_indices(indices, n: int) -> np.ndarray:
+    idx = np.atleast_1d(np.asarray([] if indices is None else indices))
+    if idx.size == 0:
+        return _EMPTY_I
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidParameterError("indices must be a 1-d integer array")
+    idx = idx.astype(np.int64)
+    if idx.min() < 0 or idx.max() >= n:
+        raise InvalidParameterError(
+            f"indices must be in [0, {n}); got values outside that range"
+        )
+    if np.unique(idx).size != idx.size:
+        raise InvalidParameterError("indices must not contain duplicates")
+    return idx
+
+
+def update_batch(
+    state: FitState,
+    delete=None,
+    insert=None,
+    *,
+    num_threads: Optional[int] = None,
+    memory_budget: BudgetLike = None,
+) -> FitState:
+    """Delete rows and insert points in one repair pass, without a cold refit.
+
+    ``delete`` holds current row indices and ``insert`` a point batch;
+    either may be ``None`` or empty.  Survivors keep their relative order
+    and the batch is appended, so the result is byte-identical to
+    ``fit_dynamic(np.concatenate([state.points[kept], insert]))`` with the
+    state's parameters — and to :func:`delete_batch` followed by
+    :func:`insert_batch`, at the cost of one repair and one rebuild.  Both
+    halves are validated before the state is touched: a rejected update
+    leaves ``state`` exactly as it was, repair support included.  The
+    input state stays valid for reading but hands its repair support to
+    the result.
+    """
+    idx = _coerce_indices(delete, state.num_points)
+    if insert is None:
+        insert = np.empty((0, state.dimension))
+    batch = _coerce_points(insert, dimension=state.dimension)
+    state = _adopt(state, num_threads)
+    if idx.size == 0 and batch.shape[0] == 0:
+        return state
+    with use_memory_budget(memory_budget):
+        return _update(state, idx, batch, num_threads)
+
+
 def insert_batch(
     state: FitState,
     new_points,
@@ -520,107 +570,10 @@ def insert_batch(
     num_threads: Optional[int] = None,
     memory_budget: BudgetLike = None,
 ) -> FitState:
-    """Insert a batch of points into a fitted state without a cold refit.
-
-    Returns a new :class:`FitState` over the old points (same order) with
-    the batch appended, byte-identical to
-    ``fit_dynamic(np.concatenate([state.points, batch]))`` with the state's
-    parameters.  The input state stays valid for reading but hands its
-    repair support to the result.
-    """
-    state = _adopt(state, num_threads)
-    batch = _coerce_points(new_points, dimension=state.dimension)
-    if batch.shape[0] == 0:
-        return state
-    with use_memory_budget(memory_budget):
-        return _insert(state, batch, num_threads)
-
-
-def _insert(state: FitState, batch: np.ndarray, num_threads) -> FitState:
-    support = getattr(state, SUPPORT_ATTR)
-    params = dict(
-        metric=support.metric,
-        backend=support.backend,
-        min_pts=support.min_pts,
-        min_cluster_size=support.min_cluster_size,
-        allow_single_cluster=support.allow_single_cluster,
-        num_threads=num_threads,
-        cut_cache_size=state._cut_capacity,
-    )
-    n_old = state.num_points
-    m = int(batch.shape[0])
-    n_new = n_old + m
-    if n_old == 0:
-        return _cold_fit(batch, **params)
-    if support.buffer.size + m > max(32, n_new // 8) or support.base_tree is None:
-        # Log-scheduled merge: fold the buffer (and tombstones) into a fresh
-        # base before the side structures dominate the update cost.
-        data = np.ascontiguousarray(np.concatenate([state.points, batch]))
-        _detach_support(state)
-        return _cold_fit(data, **params)
-
-    support = _detach_support(state)
-    eff_old = min(support.min_pts, n_old)
-    eff_new = min(support.min_pts, n_new)
-    if eff_new != eff_old:
-        changed_rows = np.arange(n_old, dtype=np.int64)
-    else:
-        # An insert can only shrink a core distance, and only if some new
-        # point lands strictly inside the old core radius.
-        changed_rows = np.flatnonzero(
-            state.tree.flat.mask_within_radii(
-                batch, state.core_distances, strict=True
-            )
-        )
-
-    next_slot = support.stable_points.shape[0]
-    new_stable = np.arange(next_slot, next_slot + m, dtype=np.int64)
-    support.stable_points = np.ascontiguousarray(
-        np.concatenate([support.stable_points, batch])
-    )
-    support.stable_cd = np.concatenate([support.stable_cd, np.zeros(m)])
-    support.order = np.concatenate([support.order, new_stable])
-    support.buffer = np.concatenate([support.buffer, new_stable])
-
-    data = np.ascontiguousarray(support.stable_points[support.order])
-    serving = KDTree(
-        data,
-        leaf_size=SERVING_LEAF_SIZE,
-        metric=support.metric,
-        backend=support.backend,
-    )
-    rows = np.concatenate(
-        [changed_rows, np.arange(n_old, n_new, dtype=np.int64)]
-    )
-    kth = _kth_distances(serving, data, rows, eff_new, num_threads)
-    touched_stable = support.order[rows]
-    previous = support.stable_cd[touched_stable].copy()
-    support.stable_cd[touched_stable] = kth
-    changed = kth != previous
-    changed[changed_rows.size:] = True  # new points are always "changed"
-    changed_stable = touched_stable[changed]
-    decreased_stable = touched_stable[kth < previous]
-    serving.annotate_core_distances(support.stable_cd[support.order])
-
-    base_changed = changed_stable[changed_stable < support.n_base]
-    base_decreased = decreased_stable[decreased_stable < support.n_base]
-    _repair_base_pairs(
-        support,
-        died=_EMPTY_I,
-        changed=base_changed,
-        decreased=base_decreased,
-        num_threads=num_threads,
-    )
-    extra_u, extra_v, extra_w = _buffer_winners(support, num_threads)
-    return _assemble(
-        support,
-        data,
-        serving,
-        extra_u,
-        extra_v,
-        extra_w,
-        num_threads=num_threads,
-        cut_cache_size=state._cut_capacity,
+    """:func:`update_batch` with inserts only (the batch is appended)."""
+    return update_batch(
+        state, insert=new_points, num_threads=num_threads,
+        memory_budget=memory_budget,
     )
 
 
@@ -631,83 +584,86 @@ def delete_batch(
     num_threads: Optional[int] = None,
     memory_budget: BudgetLike = None,
 ) -> FitState:
-    """Delete points (by current row index) without a cold refit.
+    """:func:`update_batch` with deletes only (by current row index).
 
-    Surviving points keep their relative order.  Returns a new
-    :class:`FitState` byte-identical to ``fit_dynamic`` over the survivors
-    with the state's parameters; deleting every point yields a valid empty
-    state that :func:`insert_batch` can repopulate.
+    Deleting every point yields a valid empty state that
+    :func:`insert_batch` can repopulate.
     """
-    state = _adopt(state, num_threads)
-    idx = np.atleast_1d(np.asarray(indices))
-    if idx.size == 0:
-        return state
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise InvalidParameterError("indices must be a 1-d integer array")
-    idx = idx.astype(np.int64)
-    n_old = state.num_points
-    if idx.size and (idx.min() < 0 or idx.max() >= n_old):
-        raise InvalidParameterError(
-            f"indices must be in [0, {n_old}); got values outside that range"
-        )
-    if np.unique(idx).size != idx.size:
-        raise InvalidParameterError("indices must not contain duplicates")
-    with use_memory_budget(memory_budget):
-        return _delete(state, idx, num_threads)
-
-
-def _delete(state: FitState, idx: np.ndarray, num_threads) -> FitState:
-    support = getattr(state, SUPPORT_ATTR)
-    params = dict(
-        metric=support.metric,
-        backend=support.backend,
-        min_pts=support.min_pts,
-        min_cluster_size=support.min_cluster_size,
-        allow_single_cluster=support.allow_single_cluster,
-        num_threads=num_threads,
-        cut_cache_size=state._cut_capacity,
+    return update_batch(
+        state, delete=indices, num_threads=num_threads,
+        memory_budget=memory_budget,
     )
+
+
+def _update(
+    state: FitState, idx: np.ndarray, batch: np.ndarray, num_threads
+) -> FitState:
+    support = _detach_support(state)
     n_old = state.num_points
-    m = int(idx.size)
-    n_new = n_old - m
     keep = np.ones(n_old, dtype=bool)
     keep[idx] = False
-    if n_new == 0:
-        _detach_support(state)
-        return _cold_fit(state.points[:0], **params)
+    survivors = n_old - int(idx.size)
+    m = int(batch.shape[0])
+    n_new = survivors + m
 
     dying_stable = support.order[idx]
     dying_base = dying_stable[dying_stable < support.n_base]
-    dead_after = int((~support.base_alive).sum()) + int(dying_base.size)
-    if dead_after > max(32, support.n_base // 4):
-        data = np.ascontiguousarray(state.points[keep])
-        _detach_support(state)
-        return _cold_fit(data, **params)
-
-    support = _detach_support(state)
-    eff_old = min(support.min_pts, n_old)
-    eff_new = min(support.min_pts, n_new)
-    if eff_new != eff_old:
-        changed_rows_old = np.flatnonzero(keep)
-    else:
-        # A delete can only grow a core distance, and only for survivors
-        # holding a dying point within their old core radius (ties at the
-        # radius included — recomputing an unchanged value is harmless).
-        hit = state.tree.flat.mask_within_radii(
-            state.points[idx], state.core_distances, strict=False
-        )
-        changed_rows_old = np.flatnonzero(hit & keep)
-    shift = np.cumsum(~keep)
-    new_rows = (changed_rows_old - shift[changed_rows_old]).astype(np.int64)
-    recompute_stable = support.order[changed_rows_old]
-
-    support.order = support.order[keep]
-    support.base_alive[dying_base] = False
     dying_buffer = dying_stable[dying_stable >= support.n_base]
-    if dying_buffer.size:
-        support.buffer = support.buffer[
-            ~np.isin(support.buffer, dying_buffer)
-        ]
+    dead_after = int((~support.base_alive).sum()) + int(dying_base.size)
+    buffered_after = support.buffer.size - dying_buffer.size + m
+    if (
+        survivors == 0
+        or dead_after > max(32, support.n_base // 4)
+        or buffered_after > max(32, n_new // 8)
+    ):
+        # Log-scheduled merge: fold the buffer and the tombstones into a
+        # fresh base before the side structures dominate the update cost.
+        return _cold_fit(
+            np.ascontiguousarray(np.concatenate([state.points[keep], batch])),
+            metric=support.metric,
+            backend=support.backend,
+            min_pts=support.min_pts,
+            min_cluster_size=support.min_cluster_size,
+            allow_single_cluster=support.allow_single_cluster,
+            num_threads=num_threads,
+            cut_cache_size=state._cut_capacity,
+        )
+
+    eff_new = min(support.min_pts, n_new)
+    if eff_new != min(support.min_pts, n_old):
+        hit = keep
+    else:
+        # With k fixed, a survivor's k-th distance can only move when a
+        # deleted point lies within its old core radius (ties included) or
+        # an inserted point strictly inside it; recomputing an unchanged
+        # value is harmless.
+        flat = state.tree.flat
+        hit = keep & (
+            flat.mask_within_radii(
+                state.points[idx], state.core_distances, strict=False
+            )
+            | flat.mask_within_radii(
+                batch, state.core_distances, strict=True
+            )
+        )
+    changed_rows = np.flatnonzero(hit)
+    shift = np.cumsum(~keep)
+    rows = np.concatenate([
+        changed_rows - shift[changed_rows],
+        np.arange(survivors, n_new, dtype=np.int64),
+    ])
+
+    next_slot = support.stable_points.shape[0]
+    new_stable = np.arange(next_slot, next_slot + m, dtype=np.int64)
+    support.base_alive[dying_base] = False
+    support.order = np.concatenate([support.order[keep], new_stable])
+    support.buffer = np.concatenate([
+        support.buffer[~np.isin(support.buffer, dying_buffer)], new_stable
+    ])
+    support.stable_points = np.ascontiguousarray(
+        np.concatenate([support.stable_points, batch])
+    )
+    support.stable_cd = np.concatenate([support.stable_cd, np.zeros(m)])
 
     data = np.ascontiguousarray(support.stable_points[support.order])
     serving = KDTree(
@@ -716,20 +672,20 @@ def _delete(state: FitState, idx: np.ndarray, num_threads) -> FitState:
         metric=support.metric,
         backend=support.backend,
     )
-    kth = _kth_distances(serving, data, new_rows, eff_new, num_threads)
-    previous = support.stable_cd[recompute_stable].copy()
-    changed_stable = recompute_stable[kth != previous]
-    decreased_stable = recompute_stable[kth < previous]
-    support.stable_cd[recompute_stable] = kth
+    kth = _kth_distances(serving, data, rows, eff_new, num_threads)
+    touched = support.order[rows]
+    previous = support.stable_cd[touched]
+    support.stable_cd[touched] = kth
+    changed = kth != previous
+    changed[changed_rows.size:] = True  # new points are always "changed"
     serving.annotate_core_distances(support.stable_cd[support.order])
 
-    base_changed = changed_stable[changed_stable < support.n_base]
-    base_decreased = decreased_stable[decreased_stable < support.n_base]
+    in_base = touched < support.n_base
     _repair_base_pairs(
         support,
         died=dying_base,
-        changed=base_changed,
-        decreased=base_decreased,
+        changed=touched[changed & in_base],
+        decreased=touched[(kth < previous) & in_base],
         num_threads=num_threads,
     )
     extra_u, extra_v, extra_w = _buffer_winners(support, num_threads)
@@ -793,7 +749,10 @@ def _repair_base_pairs(
     undercutting the (refreshed) value.  Only points whose core distance
     shrank (``decreased``) can undercut a stable winner — every candidate
     value is monotone in its endpoints' core distances, so a pure-growth
-    update (deletion) skips the beat test entirely.  Both-leaf pairs are
+    update (deletes only) skips the beat test entirely.  Deaths only remove
+    candidates and growth only raises values, so one call handles the
+    ``died``, ``changed`` and ``decreased`` sets of a mixed update together.
+    Both-leaf pairs are
     singletons whose winner is fixed by membership; only their value is
     refreshed.
     """

@@ -17,12 +17,15 @@ with an ``op`` field:
     :func:`repro.serve.predict.approximate_predict`).
 ``{"op": "update", "insert": [[...], ...], "delete": [i, ...]}``
     Mutate the served point set in place: deletions (current row indices)
-    apply first, then insertions append, through the incremental
-    :mod:`repro.dynamic` engine — no cold refit.  The resulting state is
-    byte-identical to a dynamic fit of the surviving points; the cut cache
-    restarts empty and core distances of perturbed neighbourhoods are
-    refreshed.  The swap is atomic: reads served concurrently see either
-    the old state or the new one, never a partial update.
+    drop rows and insertions append, both in one
+    :func:`repro.dynamic.update_batch` call — one repair pass and one state
+    rebuild, no cold refit.  Both halves are validated before anything is
+    touched, so a rejected update leaves the served state (and its repair
+    support) as it was.  The resulting state is byte-identical to a
+    dynamic fit of the surviving points; the cut cache restarts empty and
+    core distances of perturbed neighbourhoods are refreshed.  The swap is
+    atomic: reads served concurrently see either the old state or the new
+    one, never a partial update.
 ``{"op": "info"}`` / ``{"op": "stats"}``
     Model card / request counters and cache statistics.
 
@@ -59,6 +62,9 @@ class ServingEngine:
         self.num_threads = num_threads
         self.requests_served = 0
         self.requests_failed = 0
+        # handle_batch runs handlers concurrently and ``+= 1`` is a
+        # read-modify-write, so the counters are bumped under a lock.
+        self._counter_lock = threading.Lock()
         # Updates are read-modify-write on self.state; the lock serializes
         # them so two updates in one concurrent batch cannot both start from
         # the same snapshot and silently drop one another's work.  Readers
@@ -79,10 +85,17 @@ class ServingEngine:
             TypeError,
             ValueError,
         ) as error:
-            self.requests_failed += 1
+            self._count(failed=True)
             return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        self.requests_served += 1
+        self._count(failed=False)
         return response
+
+    def _count(self, *, failed: bool) -> None:
+        with self._counter_lock:
+            if failed:
+                self.requests_failed += 1
+            else:
+                self.requests_served += 1
 
     def handle_batch(
         self, requests: List[Dict], *, num_threads: Optional[int] = None
@@ -158,40 +171,33 @@ class ServingEngine:
     def _update(self, request: Dict) -> Dict:
         # Lazy import: read-only deployments never pay for the dynamic
         # engine, and the circular serve <-> dynamic dependency stays soft.
-        from repro.dynamic import delete_batch, insert_batch
+        from repro.dynamic import update_batch
 
         delete = request.get("delete")
         insert = request.get("insert")
         if delete is None and insert is None:
             raise ValueError("update requires at least one of insert, delete")
+        # No dtype coercion: update_batch rejects non-integer indices, and
+        # casting here would silently truncate 0.9 -> 0.
+        indices = np.asarray([] if delete is None else delete)
+        batch = None
+        if insert is not None:
+            batch = np.asarray(insert, dtype=np.float64)
+            if batch.ndim == 1:
+                batch = batch.reshape(1, -1)
+            if batch.size == 0:
+                batch = None
         with self._update_lock:
-            state = self.state
-            deleted = 0
-            if delete is not None:
-                # No dtype coercion: delete_batch rejects non-integer
-                # indices, and casting here would silently truncate 0.9 -> 0.
-                indices = np.asarray(delete)
-                state = delete_batch(
-                    state, indices, num_threads=self.num_threads
-                )
-                deleted = int(indices.size)
-            inserted = 0
-            if insert is not None:
-                batch = np.asarray(insert, dtype=np.float64)
-                if batch.ndim == 1:
-                    batch = batch.reshape(1, -1)
-                if batch.size:
-                    state = insert_batch(
-                        state, batch, num_threads=self.num_threads
-                    )
-                    inserted = int(batch.shape[0])
+            state = update_batch(
+                self.state, indices, batch, num_threads=self.num_threads
+            )
             # Single reference assignment — concurrent readers observe
             # either the old fully-consistent state or the new one.
             self.state = state
         return {
             "op": "update",
-            "deleted": deleted,
-            "inserted": inserted,
+            "deleted": int(indices.size),
+            "inserted": 0 if batch is None else int(batch.shape[0]),
             "num_points": state.num_points,
         }
 
@@ -214,7 +220,7 @@ class ServingEngine:
                 request = json.loads(line)
             except json.JSONDecodeError as error:
                 response = {"ok": False, "error": f"invalid JSON: {error}"}
-                self.requests_failed += 1
+                self._count(failed=True)
             else:
                 response = self.handle(request)
             output_stream.write(json.dumps(response) + "\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.dendrogram import (
@@ -16,9 +18,13 @@ from repro.dendrogram import (
     reachability_plot,
     single_linkage,
 )
+from repro.dendrogram import topdown
 from repro.dendrogram.sequential import tree_vertex_distances
+from repro.dendrogram.topdown import connected_components
+from repro.dynamic import fit_dynamic
 from repro.emst import emst_bruteforce, emst_memogfk
 from repro.hdbscan import core_distances, hdbscan_mst_memogfk
+from repro.parallel import UnionFind
 
 BUILDERS = [dendrogram_sequential, dendrogram_topdown, dendrogram_topdown_simple]
 
@@ -235,6 +241,74 @@ class TestConstruction:
             assert dendrogram.is_valid()
             order, _ = reachability_from_dendrogram(dendrogram)
             assert list(order) == list(range(n))
+
+
+def union_find_labels(u, v, num_nodes):
+    """Reference light-component labelling: a sequential union-find sweep."""
+    forest = UnionFind(num_nodes)
+    forest.union_many(u, v)
+    return forest.roots()
+
+
+@st.composite
+def forests(draw):
+    """Random forests, long paths and stars, in shuffled edge order."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    shape = draw(st.sampled_from(["forest", "path", "star"]))
+    if shape == "path":
+        u, v = perm[:-1], perm[1:]
+    elif shape == "star":
+        u, v = np.full(n - 1, perm[0]), perm[1:]
+    else:
+        u = perm[rng.integers(0, np.arange(1, n))] if n > 1 else perm[:0]
+        v = perm[1:]
+        keep = rng.random(n - 1) < draw(st.floats(0.0, 1.0))
+        u, v = u[keep], v[keep]
+    flip = rng.random(u.size) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    order = rng.permutation(u.size)
+    return u[order].astype(np.int64), v[order].astype(np.int64), n
+
+
+class TestLightComponentLabels:
+    """The vectorized labelling partitions nodes exactly like union-find."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph=forests())
+    def test_partition_matches_union_find(self, graph):
+        u, v, n = graph
+        labels = connected_components(u, v, n)
+        reference = union_find_labels(u, v, n)
+        # Labelling each union-find class by its least node id gives the
+        # same partition, and distinct classes have distinct least ids.
+        least = np.full(n, n, dtype=np.int64)
+        np.minimum.at(least, reference, np.arange(n))
+        assert np.array_equal(labels, least[reference])
+
+    @pytest.mark.parametrize("min_pts", [1, 4])
+    def test_topdown_is_byte_identical_to_union_find(self, monkeypatch, min_pts):
+        # Integer grid with duplicated rows: the MR-MST is almost all ties.
+        grid = np.stack(
+            np.meshgrid(np.arange(25.0), np.arange(25.0)), axis=-1
+        ).reshape(-1, 2)
+        points = np.concatenate([grid, grid[::3]])
+        state = fit_dynamic(points, min_pts=min_pts)
+        edges = (state.mst_u, state.mst_v, state.mst_w)
+        assert np.unique(state.mst_w).size < state.mst_w.size // 20
+        vectorized = dendrogram_topdown(edges, state.num_points)
+        monkeypatch.setattr(topdown, "connected_components", union_find_labels)
+        reference = dendrogram_topdown(edges, state.num_points)
+        got, want = vectorized.state_arrays(), reference.state_arrays()
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestReachability:

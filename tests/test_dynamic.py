@@ -12,6 +12,8 @@ usually dies.
 
 import io
 import json
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,14 @@ from conformance import (
 )
 from repro.core.errors import FitStateError, InvalidParameterError
 from repro.datasets import gaussian_blobs
-from repro.dynamic import delete_batch, fit_dynamic, insert_batch
+from repro.dynamic import (
+    SUPPORT_ATTR,
+    delete_batch,
+    fit_dynamic,
+    insert_batch,
+    update_batch,
+)
+from repro.dynamic import engine as dynamic_engine
 from repro.serve import ServingEngine, fit_state
 
 MIN_PTS = 5
@@ -76,6 +85,52 @@ def churn(state, live, rng, *, rounds=3, num_threads=None):
         keep[removed] = False
         live = live[keep]
     return state, live
+
+
+def mixed_churn(state, live, rng, *, one_pass, rounds=3, **update_kwargs):
+    """Rounds of "delete some rows, append a batch"; returns (state, live).
+
+    ``one_pass`` applies each round as one :func:`update_batch` call,
+    otherwise as :func:`delete_batch` then :func:`insert_batch`; the same
+    ``rng`` stream gives both the same rounds.
+    """
+    dim = live.shape[1]
+    for _ in range(rounds):
+        removed = rng.choice(
+            live.shape[0], size=min(int(rng.integers(5, 25)), live.shape[0]),
+            replace=False,
+        )
+        batch = rng.standard_normal((rng.integers(5, 20), dim))
+        if one_pass:
+            state = update_batch(state, removed, batch, **update_kwargs)
+        else:
+            state = delete_batch(state, removed, **update_kwargs)
+            state = insert_batch(state, batch, **update_kwargs)
+        live = np.concatenate([np.delete(live, removed, axis=0), batch])
+    return state, live
+
+
+def assert_one_pass_conformant(
+    points, seed, *, fit_kwargs, update_kwargs=None, cold_kwargs=None
+):
+    """One-pass churn == two-pass churn == a cold fit of the survivors."""
+    update_kwargs = update_kwargs or {}
+    cold_kwargs = fit_kwargs if cold_kwargs is None else cold_kwargs
+    results = []
+    for one_pass in (True, False):
+        state = fit_dynamic(points, **fit_kwargs)
+        results.append(
+            mixed_churn(
+                state, points.copy(), np.random.default_rng(seed),
+                one_pass=one_pass, **update_kwargs,
+            )
+        )
+    (one, live), (two, live_two) = results
+    assert np.array_equal(live, live_two)
+    assert_states_identical(one, two, "one pass vs delete+insert")
+    assert_states_identical(
+        one, fit_dynamic(live, **cold_kwargs), "one pass vs cold fit"
+    )
 
 
 class TestConformanceMatrix:
@@ -142,6 +197,144 @@ class TestConformanceMatrix:
             )
             results.append(state_bytes(state))
         assert results[0] == results[1]
+
+
+class TestOnePassUpdate:
+    """``update_batch`` equals delete+insert and a cold refit on every axis."""
+
+    @pytest.mark.parametrize("seed", CHURN_SEEDS)
+    @pytest.mark.parametrize("min_pts", PIPELINE_MIN_PTS)
+    @pytest.mark.parametrize("threads", DYNAMIC_THREAD_COUNTS)
+    def test_matches_two_pass_and_cold_refit(self, seed, min_pts, threads):
+        assert_one_pass_conformant(
+            gaussian_blobs(300, 3, num_clusters=4, seed=seed), seed,
+            fit_kwargs=dict(
+                min_pts=min_pts, min_cluster_size=MIN_CLUSTER_SIZE,
+                num_threads=threads,
+            ),
+            update_kwargs=dict(num_threads=threads),
+        )
+
+    @pytest.mark.parametrize("metric", CONFORMANCE_METRICS)
+    def test_across_metrics(self, metric):
+        assert_one_pass_conformant(
+            gaussian_blobs(250, 3, num_clusters=4, seed=23), 23,
+            fit_kwargs=dict(min_pts=MIN_PTS, metric=metric),
+        )
+
+    @pytest.mark.parametrize("backend", ("numpy", "numba"))
+    def test_across_exact_backends(self, backend):
+        skip_unless_backend_available(backend)
+        assert_one_pass_conformant(
+            gaussian_blobs(200, 3, num_clusters=3, seed=31), 31,
+            fit_kwargs=dict(min_pts=MIN_PTS, backend=backend),
+        )
+
+    @pytest.mark.parametrize("budget", CONFORMANCE_MEMORY_BUDGETS)
+    def test_under_memory_budget(self, budget):
+        # The cold reference runs unbudgeted: budgets may never change bytes.
+        assert_one_pass_conformant(
+            gaussian_blobs(200, 3, num_clusters=3, seed=41), 41,
+            fit_kwargs=dict(min_pts=MIN_PTS, memory_budget=budget),
+            update_kwargs=dict(memory_budget=budget),
+            cold_kwargs=dict(min_pts=MIN_PTS),
+        )
+
+
+class TestOnePassShapes:
+    """Mixed updates through the shapes where the two halves interact."""
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        return gaussian_blobs(200, 3, num_clusters=3, seed=43)
+
+    @staticmethod
+    def both_paths(state_factory, delete, insert):
+        """One update_batch and delete+insert from equal fresh states."""
+        one = update_batch(state_factory(), delete, insert)
+        two = insert_batch(delete_batch(state_factory(), delete), insert)
+        assert_states_identical(one, two, "one pass vs delete+insert")
+        return one
+
+    def test_delete_all_and_insert(self, cloud):
+        batch = cloud[:7] + 0.5
+        state = self.both_paths(
+            lambda: fit_dynamic(cloud[:30], min_pts=4), np.arange(30), batch
+        )
+        assert_states_identical(state, fit_dynamic(batch, min_pts=4))
+
+    @pytest.mark.parametrize(
+        "n, min_pts, deleted, inserted", [(6, 4, 4, 1), (5, 5, 3, 3)]
+    )
+    def test_delete_below_min_pts_and_insert(
+        self, cloud, n, min_pts, deleted, inserted
+    ):
+        # min(min_pts, n) moves 4 -> 3 in the first case; in the second it
+        # ends where it started, though delete-then-insert passes through 2.
+        batch = cloud[50:50 + inserted]
+        state = self.both_paths(
+            lambda: fit_dynamic(cloud[:n], min_pts=min_pts),
+            np.arange(deleted), batch,
+        )
+        survivors = np.concatenate([cloud[deleted:n], batch])
+        assert_states_identical(state, fit_dynamic(survivors, min_pts=min_pts))
+
+    def test_delete_buffered_points_and_insert(self, cloud):
+        def buffered():
+            state = fit_dynamic(cloud[:150], min_pts=4)
+            return insert_batch(state, cloud[150:170])  # rows 150.. buffered
+
+        assert getattr(buffered(), SUPPORT_ATTR).buffer.size == 20
+        delete = np.array([3, 151, 155, 169])
+        state = self.both_paths(buffered, delete, cloud[170:180])
+        survivors = np.concatenate(
+            [np.delete(cloud[:170], delete, axis=0), cloud[170:180]]
+        )
+        assert_states_identical(state, fit_dynamic(survivors, min_pts=4))
+
+    @pytest.mark.parametrize(
+        "deleted, inserted",
+        [(60, 5), (5, 40), (60, 40)],
+        ids=["tombstones", "buffer", "both"],
+    )
+    def test_rebuild_thresholds(self, cloud, deleted, inserted):
+        extra = cloud[:inserted] + 0.25
+        state = fit_dynamic(cloud, min_pts=4)
+        with mock.patch.object(
+            dynamic_engine, "_cold_fit", wraps=dynamic_engine._cold_fit
+        ) as cold_fit:
+            state = update_batch(state, np.arange(deleted), extra)
+        assert cold_fit.call_count == 1
+        assert_states_identical(
+            state,
+            fit_dynamic(np.concatenate([cloud[deleted:], extra]), min_pts=4),
+        )
+
+    def test_empty_delete(self, cloud):
+        extra = cloud[:9] + 0.1
+        for delete in (None, [], np.empty(0, dtype=np.int64)):
+            state = self.both_paths(
+                lambda: fit_dynamic(cloud, min_pts=4), delete, extra
+            )
+            assert_states_identical(
+                state, fit_dynamic(np.concatenate([cloud, extra]), min_pts=4)
+            )
+
+    def test_empty_insert(self, cloud):
+        delete = np.arange(0, 30, 3)
+        for insert in (None, np.empty((0, 3))):
+            state = self.both_paths(
+                lambda: fit_dynamic(cloud, min_pts=4), delete, insert
+            )
+            assert_states_identical(
+                state,
+                fit_dynamic(np.delete(cloud, delete, axis=0), min_pts=4),
+            )
+
+    def test_no_op_update_returns_the_state(self, cloud):
+        state = fit_dynamic(cloud, min_pts=4)
+        assert update_batch(state) is state
+        assert update_batch(state, [], np.empty((0, 3))) is state
 
 
 class TestDegenerateShapes:
@@ -314,6 +507,24 @@ class TestServingUpdateOp:
         response = engine.handle({"op": "update", "delete": [10**6]})
         assert not response["ok"]
         assert engine.state is state
+        # A valid delete half must not be applied (or strip the repair
+        # support) when the insert half is rejected.
+        response = engine.handle(
+            {"op": "update", "delete": [0, 1], "insert": [[0.1, 0.2, 0.3]]}
+        )
+        assert not response["ok"]
+        assert "dimension" in response["error"]
+        assert engine.state is state
+        assert getattr(state, SUPPORT_ATTR, None) is not None
+        with mock.patch.object(
+            dynamic_engine, "fit_dynamic",
+            side_effect=AssertionError("update paid a cold adoption fit"),
+        ):
+            response = engine.handle(
+                {"op": "update", "delete": [0, 1], "insert": [[0.1, 0.2]]}
+            )
+        assert response["ok"], response
+        assert response["num_points"] == 49
 
     def test_fractional_delete_indices_are_rejected(self):
         """0.9 must not silently truncate to row 0 — reject, don't cast."""
@@ -336,6 +547,22 @@ class TestServingUpdateOp:
         responses = engine.handle_batch(requests, num_threads=4)
         assert [r["ok"] for r in responses] == [True] * 4
         assert engine.state.num_points == 60 + 12
+
+    def test_request_counters_survive_concurrent_batches(self):
+        """Every request of a concurrent batch is counted exactly once."""
+        engine = ServingEngine(
+            fit_dynamic(gaussian_blobs(30, 2, num_clusters=2, seed=4), min_pts=4)
+        )
+        requests = [{"op": "info"}, {"op": "no-such-op"}] * 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = engine.handle_batch(requests, num_threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r["ok"] for r in responses] == [True, False] * 200
+        assert engine.requests_served == 200
+        assert engine.requests_failed == 200
 
     def test_predict_against_emptied_state_is_noise(self):
         """Deleting every point must not crash the serve loop on predict."""
