@@ -29,22 +29,17 @@ paper-versus-measured record of every reproduced table and figure.
 from repro.core import PointSet, as_points, open_memmap_points
 from repro.core.budget import (
     MemoryBudget,
-    current_memory_budget,
     parse_memory_size,
     resolve_memory_budget,
-    set_default_memory_budget,
-    use_memory_budget,
 )
 from repro.core.backend import (
     BACKEND_NAMES,
     BackendFallbackWarning,
     KernelBackend,
     available_backends,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
+from repro.core.context import current_context, use_context
 from repro.core.metric import (
     ChebyshevMetric,
     EuclideanMetric,
@@ -96,7 +91,7 @@ from repro.dendrogram import (
     SingleLinkageResult,
 )
 from repro.spatial import KDTree
-from repro.parallel import WorkDepthTracker, use_tracker
+from repro.parallel import WorkDepthTracker
 from repro import estimators
 from repro.estimators import EMST, HDBSCAN
 
@@ -115,10 +110,9 @@ __all__ = [
     "BackendFallbackWarning",
     "KernelBackend",
     "available_backends",
-    "get_default_backend",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
+    "current_context",
+    "use_context",
     "estimators",
     "EMST",
     "HDBSCAN",
@@ -161,6 +155,5 @@ __all__ = [
     "SingleLinkageResult",
     "KDTree",
     "WorkDepthTracker",
-    "use_tracker",
     "__version__",
 ]

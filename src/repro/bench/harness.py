@@ -27,9 +27,10 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backend import resolve_backend
-from repro.core.budget import current_memory_budget, resolve_memory_budget
+from repro.core.budget import resolve_memory_budget
+from repro.core.context import use_context
 from repro.core.metric import resolve_metric
-from repro.parallel.scheduler import WorkDepthTracker, simulated_time, use_tracker
+from repro.parallel.scheduler import WorkDepthTracker, simulated_time
 
 try:
     import resource
@@ -69,7 +70,7 @@ def memory_snapshot() -> Dict[str, object]:
     the budget's own planned high-water mark, so artifacts can compare
     planned against measured peaks.
     """
-    budget = current_memory_budget()
+    budget = resolve_memory_budget(None)
     return {
         "peak_rss_bytes": peak_rss_bytes(),
         "memory_budget": budget.spec(),
@@ -83,10 +84,7 @@ def _memory_spec(kwargs: Dict) -> str:
     A ``memory_budget`` kwarg wins; otherwise the ambient budget (which is
     what the call will actually run under) is reported.
     """
-    budget = kwargs.get("memory_budget")
-    if budget is None:
-        return current_memory_budget().spec()
-    return resolve_memory_budget(budget).spec()
+    return resolve_memory_budget(kwargs.get("memory_budget")).spec()
 
 
 def _metric_spec(kwargs: Dict) -> str:
@@ -132,7 +130,7 @@ def run_with_tracker(function: Callable, *args, **kwargs) -> Tuple[object, WorkD
     """
     tracker = WorkDepthTracker()
     start = time.perf_counter()
-    with use_tracker(tracker):
+    with use_context(tracker=tracker):
         result = function(*args, **kwargs)
     elapsed = time.perf_counter() - start
     return result, tracker, elapsed

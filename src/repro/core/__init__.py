@@ -3,7 +3,9 @@
 This subpackage holds the small, dependency-free building blocks the rest of
 the library is written against: point-set validation, the pluggable metric
 core and its distance kernels, bounding boxes and bounding spheres, and the
-library's exception hierarchy.
+library's exception hierarchy, plus the ambient execution context
+(:mod:`repro.core.context`) that carries the backend, memory budget, pool
+policy and tracker a run executes under.
 """
 
 from repro.core.errors import (
@@ -15,23 +17,18 @@ from repro.core.errors import (
 from repro.core.points import PointSet, as_points, open_memmap_points
 from repro.core.budget import (
     MemoryBudget,
-    current_memory_budget,
     format_memory_size,
     parse_memory_size,
     resolve_memory_budget,
-    set_default_memory_budget,
-    use_memory_budget,
 )
 from repro.core.backend import (
     BACKEND_NAMES,
     BackendFallbackWarning,
     KernelBackend,
     available_backends,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
+from repro.core.context import ExecutionContext, current_context, use_context
 from repro.core.metric import (
     CHEBYSHEV,
     EUCLIDEAN,
@@ -63,20 +60,17 @@ __all__ = [
     "as_points",
     "open_memmap_points",
     "MemoryBudget",
-    "current_memory_budget",
     "format_memory_size",
     "parse_memory_size",
     "resolve_memory_budget",
-    "set_default_memory_budget",
-    "use_memory_budget",
     "BACKEND_NAMES",
     "BackendFallbackWarning",
     "KernelBackend",
     "available_backends",
-    "get_default_backend",
     "resolve_backend",
-    "set_default_backend",
-    "use_backend",
+    "ExecutionContext",
+    "current_context",
+    "use_context",
     "Metric",
     "EuclideanMetric",
     "ManhattanMetric",

@@ -30,16 +30,14 @@ either way).  Lowered (float32-scoring) backends are contractually
 conformance matrix gates them with bounded weight/edge agreement instead of
 byte-identity — the same shape of guarantee the (1+eps) subsystem uses.
 
-Selection order: per-call ``backend=`` argument > ambient default (set via
-:func:`set_default_backend` / the :func:`use_backend` context manager) >
-the ``REPRO_BACKEND`` environment variable read once at import > ``numpy``.
+Selection order: per-call ``backend=`` argument > the ambient execution
+context (:func:`repro.core.context.use_context`) > the ``REPRO_BACKEND``
+environment variable read once at import > ``numpy``.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from contextlib import contextmanager
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -348,15 +346,17 @@ def available_backends() -> Tuple[str, ...]:
 def resolve_backend(backend: BackendLike = None) -> KernelBackend:
     """Normalize a backend argument into a usable :class:`KernelBackend`.
 
-    ``None`` means the ambient default (see :func:`set_default_backend` /
-    :func:`use_backend`; initialized from ``REPRO_BACKEND`` at import).  An
-    unknown name raises listing the available backends; a known-but-
-    unavailable backend (numba not installed) falls back to its numpy
+    ``None`` means the backend of the current execution context (see
+    :func:`repro.core.context.use_context`; initialized from
+    ``REPRO_BACKEND`` at import).  An unknown name raises listing the
+    available backends; a known-but-unavailable backend (numba not installed) falls back to its numpy
     equivalent with a :class:`BackendFallbackWarning` — never an error, so
     environments without numba run everything, just slower.
     """
     if backend is None:
-        return _default_backend
+        from repro.core.context import current_context
+
+        return current_context().backend
     if isinstance(backend, KernelBackend):
         resolved = backend
     elif isinstance(backend, str):
@@ -382,66 +382,3 @@ def resolve_backend(backend: BackendLike = None) -> KernelBackend:
         )
         return substitute
     return resolved
-
-
-def get_default_backend() -> KernelBackend:
-    """The ambient default backend new trees and calls resolve to."""
-    return _default_backend
-
-
-def set_default_backend(backend: BackendLike) -> KernelBackend:
-    """Set (and return) the ambient default backend.
-
-    Accepts anything :func:`resolve_backend` accepts except ``None``.
-    """
-    global _default_backend
-    if backend is None:
-        raise InvalidParameterError(
-            "set_default_backend needs a backend name or instance; "
-            "to reset, pass 'numpy'"
-        )
-    _default_backend = resolve_backend(backend)
-    return _default_backend
-
-
-@contextmanager
-def use_backend(backend: BackendLike):
-    """Context manager scoping the ambient default backend.
-
-    ``use_backend(None)`` is a no-op scope (keeps the current default), which
-    is what lets the public entry points wrap their whole pipeline
-    unconditionally::
-
-        with use_backend(backend):   # backend=None -> ambient default
-            ... build trees, run kernels ...
-    """
-    global _default_backend
-    previous = _default_backend
-    if backend is not None:
-        _default_backend = resolve_backend(backend)
-    try:
-        yield _default_backend
-    finally:
-        _default_backend = previous
-
-
-def _initial_default() -> KernelBackend:
-    """Resolve the import-time default from the ``REPRO_BACKEND`` env var.
-
-    A bad name in the environment warns and keeps numpy rather than making
-    the package unimportable.
-    """
-    spec = os.environ.get("REPRO_BACKEND", "").strip()
-    if not spec:
-        return BACKENDS["numpy"]
-    try:
-        return resolve_backend(spec)
-    except InvalidParameterError as error:
-        warnings.warn(
-            f"ignoring REPRO_BACKEND: {error}", BackendFallbackWarning,
-            stacklevel=2,
-        )
-        return BACKENDS["numpy"]
-
-
-_default_backend = _initial_default()

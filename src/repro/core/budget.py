@@ -7,8 +7,8 @@ own hard-coded constant.  A :class:`MemoryBudget` replaces those constants
 with one bytes ceiling threaded through the engine the same way
 :class:`~repro.core.metric.Metric` and the kernel backend are: a per-call
 ``memory_budget=`` argument on the public entry points scopes an *ambient*
-budget (:func:`use_memory_budget`) that every kernel consults when it picks a
-tile size (:meth:`MemoryBudget.tile_rows` / :meth:`~MemoryBudget.tile_bytes`).
+budget (a field of the execution context, :mod:`repro.core.context`) that
+every kernel consults when it picks a tile size (:meth:`MemoryBudget.tile_rows` / :meth:`~MemoryBudget.tile_bytes`).
 
 The budget changes **only** tile and chunk sizes.  Every tiled kernel in the
 engine is tile-invariant by construction — k-NN results are independent of
@@ -37,20 +37,18 @@ per tile, and the high-water mark of everything the budget granted is kept in
 next to the measured RSS.
 
 Selection order mirrors the backend knob: per-call ``memory_budget=``
-argument > ambient default (:func:`set_default_memory_budget` /
-:func:`use_memory_budget`) > the ``REPRO_MEMORY_BUDGET`` environment
-variable read once at import > unbounded.
+argument > the ambient execution context
+(:func:`repro.core.context.use_context`) > the ``REPRO_MEMORY_BUDGET``
+environment variable read once at import > unbounded.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import tempfile
 import warnings
 import weakref
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -411,13 +409,16 @@ UNBOUNDED = MemoryBudget(None)
 def resolve_memory_budget(budget: BudgetLike = None) -> MemoryBudget:
     """Normalize a budget argument into a usable :class:`MemoryBudget`.
 
-    ``None`` means the ambient default (see :func:`use_memory_budget`;
-    initialized from ``REPRO_MEMORY_BUDGET`` at import, unbounded otherwise).
+    ``None`` means the budget of the current execution context (see
+    :func:`repro.core.context.use_context`; initialized from
+    ``REPRO_MEMORY_BUDGET`` at import, unbounded otherwise).
     Ints and strings construct a bounded budget via :func:`parse_memory_size`
     — nonsense values fail fast with the parser's message.
     """
     if budget is None:
-        return _default_budget
+        from repro.core.context import current_context
+
+        return current_context().memory_budget
     if isinstance(budget, MemoryBudget):
         return budget
     if isinstance(budget, (int, str, np.integer)) and not isinstance(budget, bool):
@@ -426,60 +427,3 @@ def resolve_memory_budget(budget: BudgetLike = None) -> MemoryBudget:
         f"memory_budget must be bytes, a size string like '512M', a "
         f"MemoryBudget instance or None, got {budget!r}"
     )
-
-
-def current_memory_budget() -> MemoryBudget:
-    """The ambient budget tiled kernels and growable buffers consult."""
-    return _default_budget
-
-
-def set_default_memory_budget(budget: BudgetLike) -> MemoryBudget:
-    """Set (and return) the ambient default budget.
-
-    Pass ``None`` to reset to unbounded.
-    """
-    global _default_budget
-    _default_budget = UNBOUNDED if budget is None else resolve_memory_budget(budget)
-    return _default_budget
-
-
-@contextmanager
-def use_memory_budget(budget: BudgetLike) -> Iterator[MemoryBudget]:
-    """Context manager scoping the ambient memory budget.
-
-    ``use_memory_budget(None)`` is a no-op scope (keeps the current ambient
-    budget), so the public entry points wrap their whole pipeline
-    unconditionally, exactly like :func:`repro.core.backend.use_backend`::
-
-        with use_memory_budget(memory_budget):   # None -> ambient default
-            ... build trees, run kernels ...
-    """
-    global _default_budget
-    previous = _default_budget
-    if budget is not None:
-        _default_budget = resolve_memory_budget(budget)
-    try:
-        yield _default_budget
-    finally:
-        _default_budget = previous
-
-
-def _initial_default() -> MemoryBudget:
-    """Resolve the import-time default from ``REPRO_MEMORY_BUDGET``.
-
-    A bad value warns and keeps the engine unbounded rather than making the
-    package unimportable.
-    """
-    spec = os.environ.get("REPRO_MEMORY_BUDGET", "").strip()
-    if not spec:
-        return UNBOUNDED
-    try:
-        return MemoryBudget(parse_memory_size(spec))
-    except InvalidParameterError as error:
-        warnings.warn(
-            f"ignoring REPRO_MEMORY_BUDGET: {error}", RuntimeWarning, stacklevel=2
-        )
-        return UNBOUNDED
-
-
-_default_budget = _initial_default()

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.budget import current_memory_budget
+from repro.core.context import current_context
 
 
 def ensure_capacity(obj, names: Sequence[str], count: int, needed: int) -> None:
@@ -45,7 +45,7 @@ def ensure_capacity(obj, names: Sequence[str], count: int, needed: int) -> None:
         return
     while capacity < needed:
         capacity *= 2
-    budget = current_memory_budget()
+    budget = current_context().memory_budget
     for name in names:
         old = getattr(obj, name)
         grown = budget.allocate(capacity, old.dtype)
@@ -65,7 +65,7 @@ def shrink_buffers(obj, names: Sequence[str], count: int, minimum: int) -> None:
     target = max(int(count), int(minimum))
     if capacity <= target:
         return
-    budget = current_memory_budget()
+    budget = current_context().memory_budget
     for name in names:
         old = getattr(obj, name)
         trimmed = budget.allocate(target, old.dtype)

@@ -3,18 +3,16 @@
 Given a weighted spanning tree (the EMST for single-linkage clustering, or the
 MST of the mutual reachability graph for HDBSCAN*), this package builds the
 *dendrogram*: the binary merge tree obtained by removing tree edges in
-decreasing weight order.  Three constructions are provided:
+decreasing weight order.  Two constructions are provided:
 
 * :func:`~repro.dendrogram.sequential.dendrogram_sequential` — the classic
   bottom-up union-find construction (sort edges, merge in increasing order);
-* :func:`~repro.dendrogram.topdown.dendrogram_topdown_simple` — the paper's
-  "warm-up" top-down algorithm (repeatedly remove the heaviest edge);
 * :func:`~repro.dendrogram.topdown.dendrogram_topdown` — the paper's
   divide-and-conquer algorithm that splits on the heaviest fraction of edges
   (heavy edges), recurses on the heavy-edge subproblem and every light-edge
   subproblem, and splices the light dendrograms into the heavy one.
 
-All three produce *ordered* dendrograms for a chosen starting vertex: the
+Both produce *ordered* dendrograms for a chosen starting vertex: the
 in-order traversal of the leaves equals the visit order of Prim's algorithm
 started at that vertex, so the reachability plot (OPTICS sequence) can be read
 directly off the dendrogram (:func:`~repro.dendrogram.reachability.reachability_plot`).
@@ -22,7 +20,7 @@ directly off the dendrogram (:func:`~repro.dendrogram.reachability.reachability_
 
 from repro.dendrogram.structure import Dendrogram
 from repro.dendrogram.sequential import dendrogram_sequential
-from repro.dendrogram.topdown import dendrogram_topdown, dendrogram_topdown_simple
+from repro.dendrogram.topdown import dendrogram_topdown
 from repro.dendrogram.reachability import (
     reachability_plot,
     reachability_from_dendrogram,
@@ -44,7 +42,6 @@ __all__ = [
     "Dendrogram",
     "dendrogram_sequential",
     "dendrogram_topdown",
-    "dendrogram_topdown_simple",
     "reachability_plot",
     "reachability_from_dendrogram",
     "clusters_at_height",

@@ -1,21 +1,14 @@
 """Top-down dendrogram construction (Section 4.2 of the paper).
 
-Two variants are provided:
-
-* :func:`dendrogram_topdown_simple` — the paper's warm-up algorithm: remove
-  the heaviest edge (it becomes the root), recurse on the two resulting
-  subtrees.  Worst-case quadratic, but simple; it doubles as the base case and
-  as an independent reference in the tests.
-
-* :func:`dendrogram_topdown` — the divide-and-conquer algorithm with heavy and
-  light edges.  Each level takes the heaviest ``heavy_fraction`` of the edges
-  (the paper uses 1/10) as the *heavy* subproblem, which forms the top part of
-  the dendrogram; the connected components induced by the remaining *light*
-  edges form independent light subproblems whose dendrogram roots are spliced
-  into the corresponding positions of the heavy-edge dendrogram.  Because the
-  light components are contracted into supernodes for the heavy subproblem,
-  the splice is represented directly: the supernode's dendrogram id *is* the
-  light component's dendrogram root.
+:func:`dendrogram_topdown` is the divide-and-conquer algorithm with heavy
+and light edges.  Each level takes the heaviest ``heavy_fraction`` of the
+edges (the paper uses 1/10) as the *heavy* subproblem, which forms the top
+part of the dendrogram; the connected components induced by the remaining
+*light* edges form independent light subproblems whose dendrogram roots are
+spliced into the corresponding positions of the heavy-edge dendrogram.
+Because the light components are contracted into supernodes for the heavy
+subproblem, the splice is represented directly: the supernode's dendrogram
+id *is* the light component's dendrogram root.
 
 The recursion is array-native: a subproblem is three parallel edge arrays,
 the vertex → supernode map is one flat ``cluster_of`` array shared by the
@@ -30,30 +23,26 @@ dict rebuilds.  The base case shares the bulk merge sweep
 (:func:`repro.dendrogram.sequential.merge_edges_bottom_up`) with the
 sequential construction.
 
-Both constructions honour the ordered-dendrogram rule (the child cluster
-attached to the endpoint closer to the starting vertex goes left), so their
+The construction honours the ordered-dendrogram rule (the child cluster
+attached to the endpoint closer to the starting vertex goes left), so its
 in-order leaf traversal equals Prim's visiting order from that vertex.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
 from repro.dendrogram.sequential import (
-    _ordered_children,
     merge_edges_bottom_up,
     tree_vertex_distances,
 )
 from repro.dendrogram.structure import Dendrogram
 from repro.mst.edges import coerce_edge_arrays
 from repro.parallel.scheduler import current_tracker
-from repro.parallel.unionfind import UnionFind
-
-Edge = Tuple[int, int, float]
 
 
 def connected_components(
@@ -270,60 +259,5 @@ def dendrogram_topdown(
         heavy_fraction,
         max(base_size, 1),
     )
-    dendrogram.set_root(root)
-    return dendrogram
-
-
-def dendrogram_topdown_simple(
-    edges,
-    num_points: int,
-    *,
-    start: int = 0,
-    vertex_distance: Optional[np.ndarray] = None,
-) -> Dendrogram:
-    """Ordered dendrogram via the warm-up algorithm (remove the heaviest edge).
-
-    Worst-case O(n^2); used as an independent reference implementation and for
-    small inputs.
-    """
-    edge_list = [(int(u), int(v), float(w)) for u, v, w in zip(*coerce_edge_arrays(edges))]
-    if num_points < 1:
-        raise InvalidParameterError("num_points must be >= 1")
-    dendrogram = Dendrogram(num_points)
-    if num_points == 1:
-        return dendrogram
-    if len(edge_list) != num_points - 1:
-        raise InvalidParameterError(
-            f"a spanning tree over {num_points} points needs {num_points - 1} edges, "
-            f"got {len(edge_list)}"
-        )
-    if vertex_distance is None:
-        vertex_distance = tree_vertex_distances(edge_list, num_points, start)
-    tracker = current_tracker()
-
-    def build(sub_edges: List[Edge]) -> int:
-        tracker.add(len(sub_edges), 1.0, phase="dendrogram")
-        if len(sub_edges) == 1:
-            u, v, weight = sub_edges[0]
-            left, right = _ordered_children(u, v, u, v, vertex_distance)
-            return dendrogram.add_internal(left, right, weight, (u, v))
-        heaviest_index = max(range(len(sub_edges)), key=lambda i: sub_edges[i][2])
-        u, v, weight = sub_edges[heaviest_index]
-        remaining = [edge for i, edge in enumerate(sub_edges) if i != heaviest_index]
-        # Split the remaining edges by which side of the removed edge they lie on.
-        vertices = {a for a, _, _ in sub_edges} | {b for _, b, _ in sub_edges}
-        local_index = {vertex: index for index, vertex in enumerate(vertices)}
-        union_find = UnionFind(len(local_index))
-        for a, b, _ in remaining:
-            union_find.union(local_index[a], local_index[b])
-        root_u = union_find.find(local_index[u])
-        side_u = [e for e in remaining if union_find.find(local_index[e[0]]) == root_u]
-        side_v = [e for e in remaining if union_find.find(local_index[e[0]]) != root_u]
-        node_u = build(side_u) if side_u else u
-        node_v = build(side_v) if side_v else v
-        left, right = _ordered_children(node_u, node_v, u, v, vertex_distance)
-        return dendrogram.add_internal(left, right, weight, (u, v))
-
-    root = build(edge_list)
     dendrogram.set_root(root)
     return dendrogram

@@ -51,7 +51,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.backend import BackendLike, resolve_backend
-from repro.core.budget import BudgetLike, use_memory_budget
+from repro.core.budget import BudgetLike
+from repro.core.context import use_context
 from repro.core.errors import InvalidParameterError, InvalidPointSetError
 from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
@@ -224,7 +225,7 @@ def fit_dynamic(
     resolved_metric = resolve_metric(metric)
     resolved_backend = _require_exact_backend(backend)
     data = _coerce_points(points)
-    with use_memory_budget(memory_budget):
+    with use_context(memory_budget=memory_budget):
         return _cold_fit(
             data,
             metric=resolved_metric,
@@ -559,7 +560,7 @@ def update_batch(
     state = _adopt(state, num_threads)
     if idx.size == 0 and batch.shape[0] == 0:
         return state
-    with use_memory_budget(memory_budget):
+    with use_context(memory_budget=memory_budget):
         return _update(state, idx, batch, num_threads)
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.backend import BackendLike, use_backend
-from repro.core.budget import BudgetLike, use_memory_budget
+from repro.core.backend import BackendLike
+from repro.core.budget import BudgetLike
+from repro.core.context import use_context
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import MetricLike
 from repro.core.points import as_points
@@ -25,7 +26,6 @@ from repro.emst.memogfk import ROUND_PHASE, emst_memogfk
 from repro.emst.naive import emst_naive
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
-from repro.parallel.pool import use_pool_policy
 from repro.resilience.checkpoint import CheckpointManager, build_fingerprint
 
 
@@ -96,8 +96,8 @@ def emst(
     backend:
         Kernel backend: a name (``"numpy"``, ``"numba"``, ``"numpy-f32"``,
         ``"numba-f32"``), a :class:`~repro.core.backend.KernelBackend`
-        instance, or ``None`` for the ambient default (see
-        :func:`repro.core.backend.use_backend`; initialized from the
+        instance, or ``None`` for the execution context's (see
+        :func:`repro.core.context.use_context`; initialized from the
         ``REPRO_BACKEND`` environment variable).  Exact (float64-scoring)
         backends return byte-identical trees; lowered (``-f32``) backends
         score candidates in float32 and re-evaluate every surviving edge in
@@ -107,9 +107,9 @@ def emst(
         Bytes ceiling for the engine's tiled kernels and growable buffers:
         an int, a size string (``"512M"``, ``"2G"``), a
         :class:`~repro.core.budget.MemoryBudget` instance, or ``None`` for
-        the ambient default (see
-        :func:`repro.core.budget.use_memory_budget`; initialized from the
-        ``REPRO_MEMORY_BUDGET`` environment variable, unbounded otherwise).
+        the execution context's (see :func:`repro.core.context.use_context`;
+        initialized from the ``REPRO_MEMORY_BUDGET`` environment variable,
+        unbounded otherwise).
         The budget changes only tile/chunk sizes and enables spill-to-disk
         for edge buffers past its threshold, so the returned tree is
         **byte-identical** to the unbudgeted engine at any budget that
@@ -129,8 +129,8 @@ def emst(
         discarded and the run starts fresh (default ``True``: reuse it).
     max_retries:
         Worker-death events one pooled batch absorbs by respawn-and-retry
-        before degrading to the serial fallback (``None`` keeps the ambient
-        :func:`repro.parallel.pool.use_pool_policy` default of 2).
+        before degrading to the serial fallback (``None`` keeps the execution
+        context's, 2 by default).
     task_timeout:
         Seconds a pooled batch may go with no task completing before the run
         fails with ``WorkerFailedError`` (``None``: no time limit; worker
@@ -156,51 +156,54 @@ def emst(
         raise InvalidParameterError(
             f"unknown EMST method {method!r}; choose from {sorted(EMST_METHODS)}"
         ) from None
-    # The budget must be ambient before input coercion so the streamed
-    # finiteness check and any spilled buffers are governed by it too.
-    with use_memory_budget(memory_budget):
+    # One scope covers the whole pipeline, input coercion included: the
+    # streamed finiteness check and any spilled buffers run under the budget,
+    # every tree the implementation builds snapshots the backend, and every
+    # pooled stage inherits the fault-tolerance knobs.
+    with use_context(
+        backend=backend,
+        memory_budget=memory_budget,
+        max_retries=max_retries,
+        task_timeout=task_timeout,
+    ):
         data = as_points(points, min_points=1)
-        # One scope covers the whole pipeline: every tree the implementation
-        # builds snapshots this backend, with no per-method plumbing; the pool
-        # policy scope does the same for the fault-tolerance knobs.
-        with use_backend(backend), use_pool_policy(max_retries, task_timeout):
-            if checkpoint_dir is None:
-                return _shrunk(implementation(data, metric=metric, **kwargs))
-            checkpoint = CheckpointManager(
-                checkpoint_dir,
-                build_fingerprint(
-                    data,
-                    algorithm="emst",
-                    method=method,
-                    metric=metric,
-                    backend=backend,
-                    memory_budget=memory_budget,
-                    num_threads=kwargs.get("num_threads"),
-                    options=repr(
-                        sorted(
-                            (key, value)
-                            for key, value in kwargs.items()
-                            if key != "num_threads"
-                        )
-                    ),
-                ),
-                resume=resume,
-            )
-            if checkpoint.has_phase("mst"):
-                arrays, meta = checkpoint.load_phase("mst")
-                edges = EdgeList()
-                edges.extend_arrays(arrays["u"], arrays["v"], arrays["w"])
-                return _shrunk(
-                    EMSTResult(
-                        edges, data.shape[0], method, stats=dict(meta.get("stats", {}))
+        if checkpoint_dir is None:
+            return _shrunk(implementation(data, metric=metric, **kwargs))
+        checkpoint = CheckpointManager(
+            checkpoint_dir,
+            build_fingerprint(
+                data,
+                algorithm="emst",
+                method=method,
+                metric=metric,
+                backend=backend,
+                memory_budget=memory_budget,
+                num_threads=kwargs.get("num_threads"),
+                options=repr(
+                    sorted(
+                        (key, value)
+                        for key, value in kwargs.items()
+                        if key != "num_threads"
                     )
+                ),
+            ),
+            resume=resume,
+        )
+        if checkpoint.has_phase("mst"):
+            arrays, meta = checkpoint.load_phase("mst")
+            edges = EdgeList()
+            edges.extend_arrays(arrays["u"], arrays["v"], arrays["w"])
+            return _shrunk(
+                EMSTResult(
+                    edges, data.shape[0], method, stats=dict(meta.get("stats", {}))
                 )
-            if method == "memogfk":
-                # MemoGFK checkpoints every filter round, so even a kill
-                # mid-MST resumes at the last finished round.
-                kwargs = dict(kwargs, checkpoint=checkpoint)
-            result = implementation(data, metric=metric, **kwargs)
-            u, v, w = result.edges.as_arrays()
-            checkpoint.save_phase("mst", {"u": u, "v": v, "w": w}, {"stats": result.stats})
-            checkpoint.remove_phase(ROUND_PHASE)
-            return _shrunk(result)
+            )
+        if method == "memogfk":
+            # MemoGFK checkpoints every filter round, so even a kill
+            # mid-MST resumes at the last finished round.
+            kwargs = dict(kwargs, checkpoint=checkpoint)
+        result = implementation(data, metric=metric, **kwargs)
+        u, v, w = result.edges.as_arrays()
+        checkpoint.save_phase("mst", {"u": u, "v": v, "w": w}, {"stats": result.stats})
+        checkpoint.remove_phase(ROUND_PHASE)
+        return _shrunk(result)

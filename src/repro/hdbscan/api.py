@@ -13,8 +13,9 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.backend import BackendLike, use_backend
-from repro.core.budget import BudgetLike, use_memory_budget
+from repro.core.backend import BackendLike
+from repro.core.budget import BudgetLike
+from repro.core.context import use_context
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import MetricLike
 from repro.core.points import as_points
@@ -29,7 +30,6 @@ from repro.dendrogram.structure import Dendrogram
 from repro.emst.memogfk import ROUND_PHASE
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
-from repro.parallel.pool import use_pool_policy
 from repro.resilience.checkpoint import CheckpointManager, build_fingerprint
 
 
@@ -108,14 +108,14 @@ def hdbscan(
     backend:
         Kernel backend for every batched stage (name,
         :class:`~repro.core.backend.KernelBackend` instance, or ``None`` for
-        the ambient default).  Exact backends return byte-identical results;
+        the execution context's).  Exact backends return byte-identical results;
         lowered (``-f32``) backends score candidates in float32 with every
         surviving edge weight re-evaluated in exact float64.
     memory_budget:
         Bytes ceiling for the tiled kernels and growable buffers (int, size
         string like ``"512M"``, a :class:`~repro.core.budget.MemoryBudget`,
-        or ``None`` for the ambient default — see
-        :func:`repro.core.budget.use_memory_budget`).  Changes only
+        or ``None`` for the execution context's — see
+        :func:`repro.core.context.use_context`).  Changes only
         tile/chunk sizes and enables spill-to-disk past its threshold, so
         the MST, dendrogram and labels are byte-identical to the unbudgeted
         engine at any budget admitting at least one tile.
@@ -134,8 +134,8 @@ def hdbscan(
         discarded and the run starts fresh (default ``True``: reuse it).
     max_retries:
         Worker-death events one pooled batch absorbs by respawn-and-retry
-        before degrading to the serial fallback (``None`` keeps the ambient
-        :func:`repro.parallel.pool.use_pool_policy` default of 2).
+        before degrading to the serial fallback (``None`` keeps the execution
+        context's, 2 by default).
     task_timeout:
         Seconds a pooled batch may go with no task completing before the run
         fails with ``WorkerFailedError`` (``None``: no time limit; worker
@@ -147,7 +147,16 @@ def hdbscan(
     -------
     HDBSCANResult
     """
-    with use_memory_budget(memory_budget):
+    # One scope covers the whole pipeline, input coercion included: the
+    # budget governs the streamed finiteness check and spilled buffers, every
+    # tree built inside snapshots the backend, and every pooled stage
+    # inherits the fault-tolerance knobs.
+    with use_context(
+        backend=backend,
+        memory_budget=memory_budget,
+        max_retries=max_retries,
+        task_timeout=task_timeout,
+    ):
         data = as_points(points, min_points=1)
         n = data.shape[0]
         if not 1 <= min_pts <= n:
@@ -182,62 +191,54 @@ def hdbscan(
             )
 
         timings = {}
-        # One scope covers core distances and the MST: every tree built inside
-        # snapshots this backend, with no per-method plumbing; the pool policy
-        # scope does the same for the fault-tolerance knobs.
-        with use_backend(backend), use_pool_policy(max_retries, task_timeout):
-            start_time = time.perf_counter()
-            if checkpoint is not None and checkpoint.has_phase("core-distances"):
-                arrays, _ = checkpoint.load_phase("core-distances")
-                core_dists = arrays["core_distances"]
-            else:
-                core_dists = compute_core_distances(
-                    data, min_pts, num_threads=num_threads, metric=metric
-                )
-                if checkpoint is not None:
-                    checkpoint.save_phase(
-                        "core-distances", {"core_distances": core_dists}
-                    )
-            timings["core-dist"] = time.perf_counter() - start_time
+        start_time = time.perf_counter()
+        if checkpoint is not None and checkpoint.has_phase("core-distances"):
+            arrays, _ = checkpoint.load_phase("core-distances")
+            core_dists = arrays["core_distances"]
+        else:
+            core_dists = compute_core_distances(
+                data, min_pts, num_threads=num_threads, metric=metric
+            )
+            if checkpoint is not None:
+                checkpoint.save_phase("core-distances", {"core_distances": core_dists})
+        timings["core-dist"] = time.perf_counter() - start_time
 
-            start_time = time.perf_counter()
-            if checkpoint is not None and checkpoint.has_phase("mst"):
-                arrays, meta = checkpoint.load_phase("mst")
-                edges = EdgeList()
-                edges.extend_arrays(arrays["u"], arrays["v"], arrays["w"])
-                mst = EMSTResult(
-                    edges,
-                    n,
-                    str(meta.get("method", method)),
-                    stats=dict(meta.get("stats", {})),
-                )
+        start_time = time.perf_counter()
+        if checkpoint is not None and checkpoint.has_phase("mst"):
+            arrays, meta = checkpoint.load_phase("mst")
+            edges = EdgeList()
+            edges.extend_arrays(arrays["u"], arrays["v"], arrays["w"])
+            mst = EMSTResult(
+                edges,
+                n,
+                str(meta.get("method", method)),
+                stats=dict(meta.get("stats", {})),
+            )
+        else:
+            if method == "bruteforce":
+                mst = mst_function(data, min_pts, core_dists=core_dists, metric=metric)
             else:
-                if method == "bruteforce":
-                    mst = mst_function(
-                        data, min_pts, core_dists=core_dists, metric=metric
-                    )
-                else:
-                    if method == "memogfk" and checkpoint is not None:
-                        # MemoGFK checkpoints every filter round, so even a
-                        # kill mid-MST resumes at the last finished round.
-                        method_kwargs = dict(method_kwargs, checkpoint=checkpoint)
-                    mst = mst_function(
-                        data,
-                        min_pts,
-                        core_dists=core_dists,
-                        num_threads=num_threads,
-                        metric=metric,
-                        **method_kwargs,
-                    )
-                if checkpoint is not None:
-                    u, v, w = mst.edges.as_arrays()
-                    checkpoint.save_phase(
-                        "mst",
-                        {"u": u, "v": v, "w": w},
-                        {"stats": mst.stats, "method": mst.method},
-                    )
-                    checkpoint.remove_phase(ROUND_PHASE)
-            timings["mst"] = time.perf_counter() - start_time
+                if method == "memogfk" and checkpoint is not None:
+                    # MemoGFK checkpoints every filter round, so even a kill
+                    # mid-MST resumes at the last finished round.
+                    method_kwargs = dict(method_kwargs, checkpoint=checkpoint)
+                mst = mst_function(
+                    data,
+                    min_pts,
+                    core_dists=core_dists,
+                    num_threads=num_threads,
+                    metric=metric,
+                    **method_kwargs,
+                )
+            if checkpoint is not None:
+                u, v, w = mst.edges.as_arrays()
+                checkpoint.save_phase(
+                    "mst",
+                    {"u": u, "v": v, "w": w},
+                    {"stats": mst.stats, "method": mst.method},
+                )
+                checkpoint.remove_phase(ROUND_PHASE)
+        timings["mst"] = time.perf_counter() - start_time
 
         dendrogram = None
         if compute_dendrogram and n > 1:

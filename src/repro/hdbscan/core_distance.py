@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.backend import BackendLike, resolve_backend
-from repro.core.budget import BudgetLike, use_memory_budget
+from repro.core.budget import BudgetLike
+from repro.core.context import use_context
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
@@ -67,7 +68,7 @@ def core_distances(
         a :class:`~repro.core.budget.MemoryBudget`, or ``None`` for the
         ambient default).  Results are byte-identical at any budget.
     """
-    with use_memory_budget(memory_budget):
+    with use_context(memory_budget=memory_budget):
         data = as_points(points)
         resolved_metric = resolve_metric(metric)
         resolved_backend = resolve_backend(backend)

@@ -30,7 +30,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.budget import MemoryBudget, current_memory_budget
+from repro.core.budget import MemoryBudget
+from repro.core.context import current_context
 from repro.mst.edges import EdgeList, coerce_edge_arrays
 from repro.parallel.pool import parallel_map, resolve_num_threads, shard_ranges
 from repro.parallel.scheduler import current_tracker
@@ -96,7 +97,7 @@ def parallel_argsort(
     """
     m = int(weights.shape[0])
     workers = resolve_num_threads(num_threads)
-    chunk = _sort_chunk_rows(current_memory_budget(), workers)
+    chunk = _sort_chunk_rows(current_context().memory_budget, workers)
     if workers == 1 or m < 2 * chunk:
         return np.argsort(weights, kind="stable")
 

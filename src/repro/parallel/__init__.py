@@ -12,9 +12,9 @@ subpackage provides two things instead (see DESIGN.md, "Parallelism model"):
   work and depth they incur, and the tracker converts those into simulated
   running times for any processor count via Brent's bound.
 * Sequentially-executed versions of the primitives the paper relies on
-  (prefix sum, filter, split, WRITE_MIN, semisort, list ranking, Euler tours,
-  union-find) that charge the textbook work/depth costs to the active tracker,
-  so the simulated speedups reflect the algorithms actually implemented.
+  (prefix sum, filter, split, WRITE_MIN, union-find) that charge the textbook
+  work/depth costs to the active tracker, so the simulated speedups reflect
+  the algorithms actually implemented.
 
 :mod:`~repro.parallel.pool` provides the *real* multicore execution engine: a
 persistent :class:`~repro.parallel.pool.WorkerPool` of daemon threads (NumPy
@@ -29,7 +29,6 @@ simulated Brent-bound curves and the measured wall-clock curves of
 from repro.parallel.scheduler import (
     WorkDepthTracker,
     current_tracker,
-    use_tracker,
     simulated_time,
     simulated_speedups,
 )
@@ -42,11 +41,7 @@ from repro.parallel.primitives import (
     parallel_max_index,
     parallel_min_index,
 )
-from repro.parallel.semisort import semisort
-from repro.parallel.listrank import list_rank
-from repro.parallel.eulertour import EulerTour, build_euler_tour
 from repro.parallel.unionfind import UnionFind
-from repro.parallel.hashtable import ParallelHashTable
 from repro.parallel.pool import (
     WorkerPool,
     Workspace,
@@ -61,7 +56,6 @@ from repro.parallel.pool import (
 __all__ = [
     "WorkDepthTracker",
     "current_tracker",
-    "use_tracker",
     "simulated_time",
     "simulated_speedups",
     "prefix_sum",
@@ -71,12 +65,7 @@ __all__ = [
     "WriteMinCell",
     "parallel_max_index",
     "parallel_min_index",
-    "semisort",
-    "list_rank",
-    "EulerTour",
-    "build_euler_tour",
     "UnionFind",
-    "ParallelHashTable",
     "WorkerPool",
     "Workspace",
     "current_workspace",

@@ -35,16 +35,20 @@ into shared output arrays.
 the waiting thread polls worker health and, when a worker dies mid-batch,
 respawns it and re-enqueues the dead worker's claimed-but-unfinished tasks —
 sharding is deterministic, so a re-executed task writes exactly the bytes
-the first execution would have.  After :attr:`PoolPolicy.max_retries` death
-events the pool escalates to a clean *serial fallback* (the waiting thread
-claims and runs every remaining task inline, with a
-:class:`WorkerRecoveryWarning`); if even that is killed, or a
-``task_timeout`` passes with no progress, the pool raises
-:class:`~repro.core.errors.WorkerFailedError` and marks itself unhealthy so
-:func:`get_pool` rebuilds it.  The retry/timeout knobs flow either per call
-or through the ambient :func:`use_pool_policy` scope that ``emst()`` /
-``hdbscan()`` open from their ``max_retries=`` / ``task_timeout=``
-parameters.
+the first execution would have.  After ``max_retries`` death events the
+pool escalates to a clean *serial fallback* (the waiting thread claims and
+runs every remaining task inline, with a :class:`WorkerRecoveryWarning`);
+if even that is killed, or a ``task_timeout`` passes with no progress, the
+pool raises :class:`~repro.core.errors.WorkerFailedError` and marks itself
+unhealthy so :func:`get_pool` rebuilds it.  The retry/timeout knobs flow
+either per call or through the execution context
+(:func:`repro.core.context.use_context`) that ``emst()`` / ``hdbscan()``
+scope from their ``max_retries=`` / ``task_timeout=`` parameters.
+
+**Context propagation**: every task — first run, re-execution after a
+worker death, or serial fallback — runs in a copy of the execution context
+the submitting thread had when it called ``map``, so pooled kernels see
+their caller's backend and budget and charge their caller's tracker.
 """
 
 from __future__ import annotations
@@ -54,13 +58,13 @@ import queue
 import threading
 import time
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from contextvars import Context, copy_context
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.core.errors import InvalidParameterError, WorkerFailedError
+from repro.core.context import ExecutionContext, current_context
+from repro.core.errors import WorkerFailedError
 from repro.resilience.faults import _InjectedWorkerDeath, fault_check
 
 T = TypeVar("T")
@@ -145,74 +149,6 @@ def current_workspace() -> Workspace:
     return workspace
 
 
-# ---------------------------------------------------------------------------
-# Retry / timeout policy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PoolPolicy:
-    """Ambient fault-tolerance knobs every threaded ``map`` consults.
-
-    ``max_retries`` bounds how many worker-death events one batch absorbs by
-    respawn-and-re-execute before escalating to the serial fallback;
-    ``task_timeout`` (seconds) bounds how long a batch may go with *no* task
-    completing before the pool gives up with ``WorkerFailedError`` (``None``
-    waits forever — the historical behavior — but never hangs on a death,
-    which is detected by liveness, not time).
-    """
-
-    max_retries: int = 2
-    task_timeout: Optional[float] = None
-
-
-_default_policy = PoolPolicy()
-
-
-def current_pool_policy() -> PoolPolicy:
-    """The ambient policy (see :func:`use_pool_policy`)."""
-    return _default_policy
-
-
-def _validated_policy(
-    base: PoolPolicy,
-    max_retries: Optional[int],
-    task_timeout: Optional[float],
-) -> PoolPolicy:
-    updated = base
-    if max_retries is not None:
-        if int(max_retries) < 0:
-            raise InvalidParameterError(
-                f"max_retries must be >= 0, got {max_retries!r}"
-            )
-        updated = replace(updated, max_retries=int(max_retries))
-    if task_timeout is not None:
-        if not float(task_timeout) > 0:
-            raise InvalidParameterError(
-                f"task_timeout must be a positive number of seconds, "
-                f"got {task_timeout!r}"
-            )
-        updated = replace(updated, task_timeout=float(task_timeout))
-    return updated
-
-
-@contextmanager
-def use_pool_policy(
-    max_retries: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-) -> Iterator[PoolPolicy]:
-    """Scope the ambient retry/timeout policy (``None`` keeps the current
-    value of a knob).  The public entry points open this scope from their
-    ``max_retries=`` / ``task_timeout=`` parameters so every pooled stage of
-    a pipeline inherits one policy without per-call-site plumbing."""
-    global _default_policy
-    previous = _default_policy
-    _default_policy = _validated_policy(previous, max_retries, task_timeout)
-    try:
-        yield _default_policy
-    finally:
-        _default_policy = previous
-
-
 class _Job:
     """One ``map`` invocation: its tasks, results and completion latch.
 
@@ -225,6 +161,7 @@ class _Job:
     __slots__ = (
         "function",
         "items",
+        "context",
         "results",
         "state",
         "claimant",
@@ -234,9 +171,12 @@ class _Job:
         "last_progress",
     )
 
-    def __init__(self, function: Callable, items: List) -> None:
+    def __init__(self, function: Callable, items: List, context: Context) -> None:
         self.function = function
         self.items = items
+        # One Context cannot be entered by two threads at once, so every
+        # task runs in its own copy of the submitter's context.
+        self.context = context
         self.results: List = [None] * len(items)
         self.state = [_QUEUED] * len(items)
         self.claimant: List[Optional[threading.Thread]] = [None] * len(items)
@@ -282,7 +222,7 @@ class _Job:
 
     def run_task(self, index: int) -> None:
         try:
-            result = self.function(self.items[index])
+            result = self.context.copy().run(self.function, self.items[index])
             error = None
         except BaseException as exc:  # propagated to the submitting thread
             result, error = None, exc
@@ -413,9 +353,11 @@ class WorkerPool:
         only one item.  The first exception raised by any task is re-raised
         here after all tasks of the batch have finished.  Worker deaths are
         absorbed per the retry policy (see the module docstring); the knobs
-        default to the ambient :func:`use_pool_policy` scope.
+        default to the execution context's.
         """
-        policy = _validated_policy(_default_policy, max_retries, task_timeout)
+        policy = current_context().override(
+            max_retries=max_retries, task_timeout=task_timeout
+        )
         items = list(items)
         if not items:
             return []
@@ -423,7 +365,7 @@ class WorkerPool:
             if self._closed:
                 raise RuntimeError("WorkerPool has been shut down")
             return [function(item) for item in items]
-        job = _Job(function, items)
+        job = _Job(function, items, copy_context())
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool has been shut down")
@@ -434,7 +376,7 @@ class WorkerPool:
 
     # -- fault-tolerant completion --------------------------------------------
 
-    def _await_resilient(self, job: _Job, policy: PoolPolicy) -> List:
+    def _await_resilient(self, job: _Job, policy: ExecutionContext) -> List:
         """Wait for a job, surviving worker deaths and bounding stalls.
 
         Invariants: a task runs at most once (claims), every death event is

@@ -30,6 +30,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.core.context import current_context
+
 
 @dataclass
 class _Scope:
@@ -55,21 +57,25 @@ class WorkDepthTracker:
     def __init__(self) -> None:
         self._stack: List[_Scope] = [_Scope("sequential", "<root>")]
         self._phase_work: Dict[str, float] = {}
+        # Pool tasks charge their submitter's tracker concurrently.  Scopes
+        # are opened only by the submitting thread, so only ``add`` locks.
+        self._lock = threading.Lock()
 
     # -- charging -----------------------------------------------------------
 
     def add(self, work: float, depth: float = 1.0, phase: Optional[str] = None) -> None:
         """Charge ``work`` operations with critical-path length ``depth``."""
-        scope = self._stack[-1]
-        scope.work += work
-        if scope.kind == "parallel":
-            # Within a parallel scope each charged unit is an independent
-            # child; only the maximum depth survives.
-            scope.depth = max(scope.depth, depth)
-        else:
-            scope.depth += depth
-        if phase is not None:
-            self._phase_work[phase] = self._phase_work.get(phase, 0.0) + work
+        with self._lock:
+            scope = self._stack[-1]
+            scope.work += work
+            if scope.kind == "parallel":
+                # Within a parallel scope each charged unit is an independent
+                # child; only the maximum depth survives.
+                scope.depth = max(scope.depth, depth)
+            else:
+                scope.depth += depth
+            if phase is not None:
+                self._phase_work[phase] = self._phase_work.get(phase, 0.0) + work
 
     # -- structured scopes ---------------------------------------------------
 
@@ -157,23 +163,16 @@ class _NullTracker(WorkDepthTracker):
 
 
 _NULL = _NullTracker()
-_state = threading.local()
 
 
 def current_tracker() -> WorkDepthTracker:
-    """The tracker active in this thread (a no-op tracker if none is set)."""
-    return getattr(_state, "tracker", _NULL)
+    """The tracker of the current execution context (a no-op one if unset).
 
-
-@contextlib.contextmanager
-def use_tracker(tracker: WorkDepthTracker) -> Iterator[WorkDepthTracker]:
-    """Make ``tracker`` the ambient tracker for the duration of the block."""
-    previous = getattr(_state, "tracker", _NULL)
-    _state.tracker = tracker
-    try:
-        yield tracker
-    finally:
-        _state.tracker = previous
+    Install a tracker with ``use_context(tracker=...)``
+    (:mod:`repro.core.context`); pool tasks charge their submitter's tracker.
+    """
+    tracker = current_context().tracker
+    return _NULL if tracker is None else tracker
 
 
 # ---------------------------------------------------------------------------

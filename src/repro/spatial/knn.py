@@ -25,7 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.backend import BackendLike, resolve_backend
-from repro.core.budget import MemoryBudget, current_memory_budget
+from repro.core.budget import MemoryBudget
+from repro.core.context import current_context
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import Metric, MetricLike, resolve_metric
 from repro.core.points import as_points
@@ -164,7 +165,10 @@ def knn(
     flat = tree.flat
     lowered = flat.backend.lowered
     block = _tree_query_block_rows(
-        k, tree.dimension, current_memory_budget(), resolve_num_threads(num_threads)
+        k,
+        tree.dimension,
+        current_context().memory_budget,
+        resolve_num_threads(num_threads),
     )
     block_starts = list(range(0, n_queries, block))
 
@@ -222,7 +226,9 @@ def knn_bruteforce(
     current_tracker().add(float(n) * n, max(math.log2(n), 1.0), phase="knn")
 
     if chunk_size is None:
-        chunk_size = _bruteforce_chunk_rows(n, k, data.shape[1], current_memory_budget())
+        chunk_size = _bruteforce_chunk_rows(
+            n, k, data.shape[1], current_context().memory_budget
+        )
     chunk_starts = list(range(0, n, chunk_size))
 
     def process_chunk(start: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.budget import current_memory_budget
+from repro.core.context import current_context
 from repro.parallel.pool import current_workspace, parallel_map, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
@@ -187,7 +187,7 @@ def bccp_batch(
     # resolves a disjoint set of output rows, so the task list can run inline
     # or on the worker pool with identical results.
     workers = resolve_num_threads(num_threads)
-    budget = current_memory_budget()
+    budget = current_context().memory_budget
     chunk_elements = budget.tile_elements(
         np.float64,
         default_elements=_BATCH_CHUNK_ELEMENTS,
@@ -399,7 +399,7 @@ class BCCPCache:
         weights: np.ndarray,
     ) -> None:
         """Merge new (already unique, sorted) results into the sorted store."""
-        budget = current_memory_budget()
+        budget = current_context().memory_budget
         merged_keys = np.concatenate([self._keys, keys])
         order = np.argsort(merged_keys, kind="stable")
         self._keys = self._store(merged_keys[order], budget)
@@ -429,7 +429,7 @@ class BCCPCache:
         self._point_a = np.empty(0, dtype=np.int64)
         self._point_b = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0, dtype=np.float64)
-        budget = current_memory_budget()
+        budget = current_context().memory_budget
         if budget.bounded:
             budget.release("bccp_cache")
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.budget import current_memory_budget
+from repro.core.context import current_context
 from repro.core.errors import InvalidParameterError, NotComputedError
 from repro.parallel import pool as _pool
 from repro.parallel.pool import map_shards, resolve_num_threads
@@ -104,7 +104,7 @@ def pair_chunk_size(num_threads: Optional[int] = None) -> int:
     shard from its tile share instead.  The sharded kernels are elementwise,
     so every chunk size yields byte-identical results.
     """
-    budget = current_memory_budget()
+    budget = current_context().memory_budget
     return budget.tile_rows(
         _PAIR_SHARD_BYTES_PER_ROW,
         default_bytes=_pool.DEFAULT_CHUNK * _PAIR_SHARD_BYTES_PER_ROW,

@@ -23,11 +23,9 @@ from repro.core.backend import (
     BackendFallbackWarning,
     KernelBackend,
     available_backends,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
+from repro.core.context import current_context, use_context
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import EUCLIDEAN, resolve_metric
 from repro.emst.api import emst
@@ -56,7 +54,7 @@ class TestRegistry:
         assert resolve_backend("  NumPy ") is backend  # normalized
 
     def test_resolve_none_is_ambient_default(self):
-        assert resolve_backend(None) is get_default_backend()
+        assert resolve_backend(None) is current_context().backend
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(InvalidParameterError, match="available backends"):
@@ -85,35 +83,30 @@ class TestRegistry:
 
 
 class TestDefaultScoping:
-    def test_use_backend_scopes_and_restores(self):
-        before = get_default_backend()
-        with use_backend("numpy-f32") as active:
-            assert active is BACKENDS["numpy-f32"]
-            assert get_default_backend() is active
-        assert get_default_backend() is before
+    def test_use_context_scopes_and_restores_backend(self):
+        before = current_context().backend
+        with use_context(backend="numpy-f32") as active:
+            assert active.backend is BACKENDS["numpy-f32"]
+            assert resolve_backend(None) is active.backend
+        assert current_context().backend is before
 
-    def test_use_backend_none_keeps_current(self):
-        before = get_default_backend()
-        with use_backend(None) as active:
-            assert active is before
-
-    def test_set_default_backend(self):
-        before = get_default_backend()
-        try:
-            assert set_default_backend("numpy-f32") is BACKENDS["numpy-f32"]
+    def test_use_context_backend_reaches_new_trees(self):
+        backend = BACKENDS["numpy-f32"]
+        with use_context(backend=backend):
+            # Trees built inside the scope snapshot its backend.
             tree = KDTree(np.zeros((4, 2)) + np.arange(4)[:, None])
-            assert tree.backend is BACKENDS["numpy-f32"]
-        finally:
-            set_default_backend(before)
+        assert tree.backend is backend
+        assert KDTree(np.arange(8.0).reshape(4, 2)).backend is current_context().backend
 
-    def test_set_default_backend_rejects_none(self):
-        with pytest.raises(InvalidParameterError):
-            set_default_backend(None)
+    def test_use_context_none_keeps_current_backend(self):
+        before = current_context().backend
+        with use_context(backend=None) as active:
+            assert active.backend is before
 
     def test_env_var_initializes_default(self):
         code = (
-            "from repro.core.backend import get_default_backend;"
-            "print(get_default_backend().name)"
+            "from repro.core.context import current_context;"
+            "print(current_context().backend.name)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -126,8 +119,8 @@ class TestDefaultScoping:
     def test_env_var_bad_name_warns_and_keeps_numpy(self):
         code = (
             "import warnings; warnings.simplefilter('ignore');"
-            "from repro.core.backend import get_default_backend;"
-            "print(get_default_backend().name)"
+            "from repro.core.context import current_context;"
+            "print(current_context().backend.name)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

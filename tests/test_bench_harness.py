@@ -15,7 +15,7 @@ from repro.bench import (
     run_with_tracker,
     scaling_curve,
 )
-from repro.core.budget import use_memory_budget
+from repro.core.context import use_context
 from repro.emst import emst_memogfk
 from repro.emst.api import emst
 
@@ -76,7 +76,7 @@ class TestMemoryKeys:
         }
         assert snapshot["memory_budget"] == "unbounded"
         assert snapshot["budget_peak_bytes"] == 0
-        with use_memory_budget("64M"):
+        with use_context(memory_budget="64M"):
             scoped = memory_snapshot()
         assert scoped["memory_budget"] == "64M"
 

@@ -13,7 +13,6 @@ from repro.dendrogram import (
     dbscan_star_labels,
     dendrogram_sequential,
     dendrogram_topdown,
-    dendrogram_topdown_simple,
     reachability_from_dendrogram,
     reachability_plot,
     single_linkage,
@@ -26,7 +25,7 @@ from repro.emst import emst_bruteforce, emst_memogfk
 from repro.hdbscan import core_distances, hdbscan_mst_memogfk
 from repro.parallel import UnionFind
 
-BUILDERS = [dendrogram_sequential, dendrogram_topdown, dendrogram_topdown_simple]
+BUILDERS = [dendrogram_sequential, dendrogram_topdown]
 
 
 def random_tree_edges(n, seed, weight_scale=1.0):

@@ -26,6 +26,7 @@ from repro.core.backend import (
     resolve_backend,
 )
 from repro.core.budget import MemoryBudget
+from repro.core.context import current_context, use_context
 from repro.core.errors import (
     InvalidParameterError,
     SpillIOError,
@@ -36,7 +37,6 @@ from repro.parallel.pool import (
     WorkerRecoveryWarning,
     get_pool,
     shutdown_pools,
-    use_pool_policy,
 )
 from repro.resilience import (
     Fault,
@@ -223,7 +223,10 @@ class TestWorkerPoolChaos:
             assert not pool.healthy
         finally:
             release.set()
-        pool.shutdown(wait=False)
+        # Join the released workers: left running, they claim the batch's
+        # leftover tasks during later tests and can consume an armed
+        # kill-worker fault meant for another pool.
+        pool.shutdown()
 
     def test_policy_validation(self):
         with WorkerPool(2) as pool:
@@ -232,16 +235,35 @@ class TestWorkerPoolChaos:
             with pytest.raises(InvalidParameterError, match="task_timeout"):
                 pool.map(_square, [1, 2], task_timeout=0)
 
-    def test_use_pool_policy_scopes_the_ambient_default(self):
+    def test_use_context_scopes_the_pool_policy(self):
         items = list(range(32))
         with WorkerPool(4) as pool:
-            with use_pool_policy(max_retries=0):
+            with use_context(max_retries=0):
                 with inject_faults("kill-worker:at=0"):
                     with pytest.warns(WorkerRecoveryWarning, match="max_retries=0"):
                         pool.map(_square, items)
         with pytest.raises(InvalidParameterError):
-            with use_pool_policy(task_timeout=-1):
+            with use_context(task_timeout=-1):
                 pass
+
+    def test_recovered_tasks_run_in_the_submitters_context(self):
+        """Re-executed tasks and the serial fallback see the caller's scope."""
+        items = list(range(32))
+
+        def observe(item):
+            return threading.current_thread(), current_context().backend.name
+
+        with WorkerPool(2) as pool, use_context(backend="numpy-f32"):
+            with inject_faults("kill-worker:at=0"):
+                respawned = pool.map(observe, items)
+            assert pool.deaths_detected >= 1
+            with inject_faults("kill-worker:times=inf"):
+                with pytest.warns(WorkerRecoveryWarning, match="serially"):
+                    fallback = pool.map(observe, items)
+        submitter = threading.current_thread()
+        assert [name for _, name in respawned] == ["numpy-f32"] * len(items)
+        assert [name for _, name in fallback] == ["numpy-f32"] * len(items)
+        assert any(thread is submitter for thread, _ in fallback)
 
     def test_get_pool_replaces_poisoned_cache_entry(self):
         shutdown_pools()

@@ -25,13 +25,11 @@ from repro.core.budget import (
     MIN_TILE_BYTES,
     MemoryBudget,
     UNBOUNDED,
-    current_memory_budget,
     format_memory_size,
     parse_memory_size,
     resolve_memory_budget,
-    set_default_memory_budget,
-    use_memory_budget,
 )
+from repro.core.context import current_context, use_context
 from repro.core.errors import InvalidParameterError, InvalidPointSetError
 from repro.core.points import open_memmap_points
 from repro.emst.api import emst
@@ -169,7 +167,7 @@ class TestMemoryBudget:
 
 class TestResolutionAndScoping:
     def test_resolve_accepts_all_budget_likes(self):
-        assert resolve_memory_budget(None) is current_memory_budget()
+        assert resolve_memory_budget(None) is current_context().memory_budget
         budget = MemoryBudget("2G")
         assert resolve_memory_budget(budget) is budget
         assert resolve_memory_budget("512M").total_bytes == 512 << 20
@@ -180,22 +178,22 @@ class TestResolutionAndScoping:
         with pytest.raises(InvalidParameterError):
             resolve_memory_budget(bad)
 
-    def test_use_memory_budget_scopes_and_restores(self):
-        assert current_memory_budget() is UNBOUNDED
-        with use_memory_budget("16M") as budget:
-            assert current_memory_budget() is budget
+    def test_use_context_scopes_and_restores_budget(self):
+        assert current_context().memory_budget is UNBOUNDED
+        with use_context(memory_budget="16M") as context:
+            budget = context.memory_budget
+            assert resolve_memory_budget(None) is budget
             assert budget.total_bytes == 16 << 20
-            with use_memory_budget(None):  # None keeps the current scope
-                assert current_memory_budget() is budget
-        assert current_memory_budget() is UNBOUNDED
+            with use_context(memory_budget=None):  # None keeps the current scope
+                assert current_context().memory_budget is budget
+        assert current_context().memory_budget is UNBOUNDED
 
-    def test_set_default_memory_budget(self):
-        try:
-            budget = set_default_memory_budget("8M")
-            assert current_memory_budget() is budget
-        finally:
-            set_default_memory_budget(None)
-        assert current_memory_budget() is UNBOUNDED
+    def test_use_context_installs_budget_instance(self):
+        budget = MemoryBudget("8M")
+        with use_context(memory_budget=budget) as context:
+            assert context.memory_budget is budget
+            assert resolve_memory_budget(None) is budget
+        assert current_context().memory_budget is UNBOUNDED
 
 
 class TestEdgeListGrowthPolicy:
@@ -229,10 +227,10 @@ class TestEdgeListGrowthPolicy:
         assert np.array_equal(w, view_w)
 
     def test_spill_mode_is_behaviourally_identical(self):
-        with use_memory_budget(MemoryBudget("1M", spill_threshold=256)):
+        with use_context(memory_budget=MemoryBudget("1M", spill_threshold=256)):
             spilled = EdgeList()
             spilled.extend_arrays(np.arange(500), np.arange(500) + 1, np.ones(500))
-            budget = current_memory_budget()
+            budget = current_context().memory_budget
             assert budget.spilled_buffers > 0
         plain = EdgeList()
         plain.extend_arrays(np.arange(500), np.arange(500) + 1, np.ones(500))
@@ -263,10 +261,10 @@ class TestBCCPCacheGrowthPolicy:
 
     def test_spill_mode_preserves_results_and_reserves(self):
         tree, a_ids, b_ids = self._frontier()
-        with use_memory_budget(MemoryBudget("1M", spill_threshold=1)):
+        with use_context(memory_budget=MemoryBudget("1M", spill_threshold=1)):
             spilled_cache = BCCPCache(tree)
             results_spilled = spilled_cache.get_batch(a_ids, b_ids)
-            budget = current_memory_budget()
+            budget = current_context().memory_budget
             assert budget.spilled_buffers > 0
             assert budget.reservations["bccp_cache"] == spilled_cache.nbytes
         plain_cache = BCCPCache(tree)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.context import use_context
 from repro.parallel import (
     WorkDepthTracker,
     WriteMinCell,
@@ -12,13 +13,10 @@ from repro.parallel import (
     parallel_min_index,
     parallel_split,
     prefix_sum,
-    semisort,
     simulated_speedups,
     simulated_time,
-    use_tracker,
     write_min,
 )
-from repro.parallel.hashtable import ParallelHashTable
 
 
 class TestPrefixSum:
@@ -105,45 +103,6 @@ class TestReductions:
             parallel_min_index([])
 
 
-class TestSemisort:
-    def test_groups_by_key(self):
-        groups = semisort([1, 2, 3, 4, 5, 6], key=lambda x: x % 3)
-        assert sorted(groups[0]) == [3, 6]
-        assert sorted(groups[1]) == [1, 4]
-        assert sorted(groups[2]) == [2, 5]
-
-    def test_preserves_order_within_group(self):
-        groups = semisort(["bb", "a", "cc", "d"], key=len)
-        assert groups[2] == ["bb", "cc"]
-        assert groups[1] == ["a", "d"]
-
-    def test_empty_input(self):
-        assert semisort([], key=lambda x: x) == {}
-
-
-class TestParallelHashTable:
-    def test_insert_find(self):
-        table = ParallelHashTable()
-        table.insert("x", 1)
-        assert table.find("x") == 1
-        assert table.find("y") is None
-        assert table.find("y", default=0) == 0
-
-    def test_delete(self):
-        table = ParallelHashTable()
-        table.insert("x", 1)
-        assert table.delete("x")
-        assert not table.delete("x")
-        assert len(table) == 0
-
-    def test_contains_and_items(self):
-        table = ParallelHashTable()
-        table.insert(1, "a")
-        table.insert(2, "b")
-        assert 1 in table
-        assert dict(table.items()) == {1: "a", 2: "b"}
-
-
 class TestParallelMap:
     def test_sequential_path(self):
         assert parallel_map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
@@ -198,7 +157,7 @@ class TestTrackerAndBrent:
 
     def test_ambient_tracker_collects_primitive_costs(self):
         tracker = WorkDepthTracker()
-        with use_tracker(tracker):
+        with use_context(tracker=tracker):
             prefix_sum(list(range(100)))
         assert tracker.work >= 100
 

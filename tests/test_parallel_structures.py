@@ -1,10 +1,8 @@
-"""Tests for union-find, list ranking and Euler tours."""
+"""Tests for union-find."""
 
-import numpy as np
 import pytest
 
-from repro.parallel import UnionFind, build_euler_tour, list_rank
-from repro.parallel.eulertour import vertex_distances_via_listrank
+from repro.parallel import UnionFind
 
 
 class TestUnionFind:
@@ -65,99 +63,3 @@ class TestUnionFind:
     def test_zero_elements(self):
         union_find = UnionFind(0)
         assert union_find.num_components == 0
-
-
-class TestListRank:
-    def test_simple_chain_suffix_sums(self):
-        # 0 -> 1 -> 2 -> 3 (terminal), all values 1.
-        successor = [1, 2, 3, -1]
-        ranks = list_rank(successor, [1.0, 1.0, 1.0, 1.0])
-        assert list(ranks) == [4.0, 3.0, 2.0, 1.0]
-
-    def test_values_propagate(self):
-        successor = [1, 2, -1]
-        ranks = list_rank(successor, [10.0, 20.0, 5.0])
-        assert list(ranks) == [35.0, 25.0, 5.0]
-
-    def test_single_node(self):
-        ranks = list_rank([-1], [42.0])
-        assert list(ranks) == [42.0]
-
-    def test_empty_list(self):
-        ranks = list_rank([], [])
-        assert len(ranks) == 0
-
-    def test_long_chain_matches_cumsum(self):
-        n = 200
-        successor = list(range(1, n)) + [-1]
-        values = np.arange(1.0, n + 1.0)
-        ranks = list_rank(successor, values)
-        expected = np.cumsum(values[::-1])[::-1]
-        assert np.allclose(ranks, expected)
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            list_rank([1, -1], [1.0])
-
-    def test_cycle_detected(self):
-        with pytest.raises(ValueError):
-            list_rank([1, 0], [1.0, 1.0])
-
-
-class TestEulerTour:
-    def _path_edges(self, n):
-        return [(i, i + 1) for i in range(n - 1)]
-
-    def test_arc_count(self):
-        tour = build_euler_tour(4, self._path_edges(4))
-        assert tour.num_arcs == 6
-        assert tour.num_vertices == 4
-
-    def test_successors_form_single_circuit(self):
-        edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
-        tour = build_euler_tour(5, edges)
-        start = 0
-        visited = [start]
-        arc = int(tour.successor[start])
-        while arc != start:
-            visited.append(arc)
-            arc = int(tour.successor[arc])
-        assert len(visited) == tour.num_arcs
-
-    def test_rooted_parent_structure(self):
-        edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
-        tour = build_euler_tour(5, edges)
-        rooted = tour.rooted_at(0)
-        assert rooted.parent[0] == -1
-        assert rooted.parent[1] == 0
-        assert rooted.parent[2] == 1
-        assert rooted.parent[3] == 1
-        assert rooted.parent[4] == 3
-
-    def test_vertex_distances(self):
-        edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
-        tour = build_euler_tour(5, edges)
-        rooted = tour.rooted_at(0)
-        assert list(rooted.vertex_distance) == [0, 1, 2, 2, 3]
-
-    def test_rooting_at_other_vertex(self):
-        edges = [(0, 1), (1, 2)]
-        tour = build_euler_tour(3, edges)
-        rooted = tour.rooted_at(2)
-        assert list(rooted.vertex_distance) == [2, 1, 0]
-
-    def test_star_tree(self):
-        edges = [(0, i) for i in range(1, 6)]
-        tour = build_euler_tour(6, edges)
-        rooted = tour.rooted_at(0)
-        assert all(rooted.vertex_distance[i] == 1 for i in range(1, 6))
-
-    def test_listrank_distances_match_bfs(self):
-        rng = np.random.default_rng(0)
-        # Random tree built by attaching each vertex to a random earlier one.
-        n = 40
-        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-        tour = build_euler_tour(n, edges)
-        rooted = tour.rooted_at(0)
-        via_listrank = vertex_distances_via_listrank(n, edges, 0)
-        assert np.array_equal(via_listrank, rooted.vertex_distance)

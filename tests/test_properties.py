@@ -25,7 +25,7 @@ from repro.emst import emst, emst_bruteforce, emst_gfk, emst_memogfk, emst_naive
 from repro.estimators import EMST, HDBSCAN
 from repro.hdbscan import core_distances, hdbscan_mst_bruteforce, hdbscan_mst_memogfk
 from repro.mst import boruvka, kruskal, total_weight
-from repro.parallel import UnionFind, list_rank, prefix_sum
+from repro.parallel import UnionFind, prefix_sum
 from repro.spatial import KDTree
 from repro.wspd import compute_wspd
 from repro.wspd.wspd import validate_wspd_realization
@@ -321,15 +321,6 @@ class TestSubstrateProperties:
             assert prefix[index] == running
             running += value
         assert tot == sum(values)
-
-    @SETTINGS
-    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
-    def test_list_rank_matches_reverse_cumsum(self, values):
-        n = len(values)
-        successor = list(range(1, n)) + [-1]
-        ranks = list_rank(successor, values)
-        expected = np.cumsum(np.asarray(values)[::-1])[::-1]
-        assert np.allclose(ranks, expected, rtol=1e-9, atol=1e-6)
 
     @SETTINGS
     @given(

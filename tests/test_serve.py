@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conformance import CONFORMANCE_THREAD_COUNTS, EXACT_HDBSCAN_METHODS
-from repro.core.budget import MemoryBudget, use_memory_budget
+from repro.core.budget import MemoryBudget
+from repro.core.context import use_context
 from repro.core.errors import FitStateError, InvalidParameterError
 from repro.datasets import gaussian_blobs
 from repro.emst.api import emst
@@ -327,7 +328,7 @@ class TestPostFitBufferRelease:
 
     def test_no_live_spilled_bytes_post_fit(self, points):
         budget = MemoryBudget("2M")
-        with use_memory_budget(budget):
+        with use_context(memory_budget=budget):
             result = hdbscan(points, min_pts=MIN_PTS, method="memogfk")
         assert result is not None
         assert budget.live_spilled_bytes == 0
