@@ -544,9 +544,16 @@ class FlatKDTree:
         pairs: every iteration prunes the whole frontier against the current
         per-query k-th-distance bounds with array comparisons, folds all leaf
         candidates into the per-query top-k with one segmented merge, and
-        expands the surviving internal pairs.  A preliminary vectorized
-        root-to-leaf descent seeds the bounds so pruning is effective from the
-        first frontier iteration.
+        expands the surviving internal pairs.
+
+        A preliminary vectorized descent (:meth:`_descend_to_leaf`) picks for
+        every query a *seed subtree* holding at least ``k`` points and folds
+        it whole, so every ``bound`` is finite before the first frontier
+        iteration — with leaves smaller than ``k`` a single home leaf could
+        not fill the top-k, and the bound would stay at infinity.  Leaves of
+        the seed subtree (a contiguous ``perm`` range) are skipped by the
+        frontier, and every fold drops candidates at or beyond the current
+        bound before its merge, so only in-bound candidates are sorted.
 
         Returns ``(indices, distances)`` of shape ``(len(queries), k)`` with
         neighbours sorted by increasing distance.
@@ -569,12 +576,14 @@ class FlatKDTree:
         if nq == 0:
             return best_idx, best_dist
 
-        # Seed pass: descend every query to its home leaf and fold that leaf's
-        # points into the top-k, so ``bound`` starts tight.
-        seed_leaf = self._descend_to_leaf(queries)
+        # Seed pass: descend every query to a subtree of at least k points and
+        # fold it whole, so ``bound`` starts finite and tight.
+        seed = self._descend_to_leaf(queries, k)
+        seed_start = self.node_start[seed]
+        seed_end = self.node_end[seed]
         q_all = np.arange(nq, dtype=np.int64)
         self._fold_leaf_candidates(
-            queries, q_all, seed_leaf, best_dist, best_idx, bound, k
+            queries, q_all, seed, best_dist, best_idx, bound, k
         )
 
         # Main frontier traversal from the root.
@@ -591,7 +600,9 @@ class FlatKDTree:
             if leaf.any():
                 lq = frontier_q[leaf]
                 ln = frontier_n[leaf]
-                fresh = ln != seed_leaf[lq]  # the seed leaf was already folded
+                # Leaves inside the seed subtree were already folded.
+                start = self.node_start[ln]
+                fresh = (start < seed_start[lq]) | (start >= seed_end[lq])
                 if fresh.any():
                     self._fold_leaf_candidates(
                         queries, lq[fresh], ln[fresh], best_dist, best_idx, bound, k
@@ -604,18 +615,30 @@ class FlatKDTree:
             )
         return best_idx, best_dist
 
-    def _descend_to_leaf(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized root-to-leaf descent choosing the nearer child."""
+    def _descend_to_leaf(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """Vectorized descent to each query's *k-point seed subtree*.
+
+        Starting at the root, every query steps into its nearer child (by
+        box gap) for as long as that child holds at least ``k`` points, and
+        stops at the first node whose nearer child is smaller — or at a
+        leaf.  The returned node therefore always holds at least ``k`` points
+        (the root does, as ``k <= n``), so folding it whole fills every
+        query's top-k and makes its pruning bound finite.  Its points are the
+        contiguous range ``perm[node_start[seed]:node_end[seed]]``.
+        """
         node = np.zeros(queries.shape[0], dtype=np.int64)
-        while True:
-            internal = np.flatnonzero(self.left_child[node] >= 0)
-            if internal.size == 0:
-                return node
-            left = self.left_child[node[internal]]
-            right = self.right_child[node[internal]]
-            dl = self.min_distances_to_points(queries[internal], left)
-            dr = self.min_distances_to_points(queries[internal], right)
-            node[internal] = np.where(dl <= dr, left, right)
+        active = np.flatnonzero(self.left_child[node] >= 0)
+        while active.size:
+            left = self.left_child[node[active]]
+            right = self.right_child[node[active]]
+            dl = self.min_distances_to_points(queries[active], left)
+            dr = self.min_distances_to_points(queries[active], right)
+            nearer = np.where(dl <= dr, left, right)
+            big = self.node_end[nearer] - self.node_start[nearer] >= k
+            active = active[big]
+            node[active] = nearer[big]
+            active = active[self.left_child[node[active]] >= 0]
+        return node
 
     def _fold_leaf_candidates(
         self,
@@ -627,12 +650,25 @@ class FlatKDTree:
         bound: np.ndarray,
         k: int,
     ) -> None:
-        """Merge the points of leaf pairs into the per-query top-k arrays."""
+        """Merge the points of (query, node) pairs into the per-query top-k.
+
+        Candidates at or beyond the query's current bound are dropped before
+        the sort: the stable merge below keeps existing entries ahead of
+        equal new ones, so such a candidate could never displace one, and
+        the returned indices are the same as without the prefilter.
+        """
         counts = self.node_end[pair_n] - self.node_start[pair_n]
         cand_q = np.repeat(pair_q, counts)
         cand_i = self.perm[_segment_ranges(self.node_start[pair_n], counts)]
         diff = self.scoring_points[cand_i] - queries[cand_q]
         cand_d = self.metric.diff_norms(diff)
+        inside = cand_d < bound[cand_q]
+        if not inside.all():
+            cand_q = cand_q[inside]
+            cand_d = cand_d[inside]
+            cand_i = cand_i[inside]
+            if cand_q.size == 0:
+                return
 
         # Keep at most k candidates per query before the padded merge.
         order = np.lexsort((cand_d, cand_q))

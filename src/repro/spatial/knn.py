@@ -9,8 +9,12 @@ Two interchangeable implementations are provided:
   frontier of (query, node) pairs pruned with array comparisons, so the
   traversal cost is NumPy-vectorized rather than per-node Python dispatch;
 * :func:`knn_bruteforce` — chunked exact brute force built on a single matrix
-  product per chunk; asymptotically worse but fully dense, so it can still win
-  at very small sizes or very high dimensions.
+  product per chunk; O(n^2) but fully dense.
+
+Measured on the all-points query at n=2·10⁴, k=10, leaf size 8 (tree build
+included; one 2-vCPU Xeon VM, BLAS pinned to one thread), the kd-tree is
+13–17× faster than brute force in 2D and about 5× faster in 7D, and the two
+are about even in 16D.
 
 Both return neighbours *including the query point itself*, matching the
 paper's definition of the core distance ("distance from p to its

@@ -1,15 +1,19 @@
 """Tests for the flat structure-of-arrays kd-tree engine."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.parallel.unionfind import UnionFind
-from repro.spatial import FlatKDTree, KDTree
+from repro.spatial import FlatKDTree, KDTree, knn
+from repro.spatial.knn import knn_bruteforce
 from repro.spatial.legacy import LegacyKDTree, legacy_knn
 from repro.wspd import compute_wspd_ids
+
+F32_SETS_PATH = Path(__file__).parent / "data" / "knn_f32_neighbour_sets.npz"
 
 
 def exact_knn_reference(points, queries, k):
@@ -130,6 +134,120 @@ class TestBatchKnn:
         flat = FlatKDTree(points, leaf_size=2)
         _, distances = flat.query_knn(points, 4)
         assert np.allclose(distances, 0.0)
+
+
+def tie_points():
+    """Random 2D points plus exact duplicates, a collinear run and a lattice."""
+    base = np.random.default_rng(7).random((160, 2))
+    return np.vstack(
+        [
+            base,
+            np.repeat(base[:20], 4, axis=0),
+            np.column_stack([np.linspace(0.0, 1.0, 40), np.full(40, 0.5)]),
+            np.stack(np.meshgrid(np.arange(5), np.arange(4)), -1).reshape(-1, 2)
+            * 0.25,
+        ]
+    )
+
+
+def tie_queries(points):
+    """External queries: random, on data points, and on a lattice vertex."""
+    random = np.random.default_rng(8).random((50, 2)) * 1.2 - 0.1
+    return np.vstack([random, points[150:190:4], [[0.5, 0.5]]])
+
+
+LEAF_SIZES = (1, 3, 8, 16, 64)
+TIE_N = tie_points().shape[0]
+
+
+def k_values(leaf, n):
+    """k below, equal to, above and above twice the leaf size, plus k = n."""
+    return sorted({max(leaf - 1, 1), leaf, leaf + 1, 2 * leaf + 1, n})
+
+
+ALL_K = sorted({k for leaf in LEAF_SIZES for k in k_values(leaf, TIE_N)})
+
+
+def assert_exact_rows(points, queries, indices, distances):
+    """Rows are the exact k-NN: direct-norm distances, no repeated index."""
+    k = indices.shape[1]
+    assert np.array_equal(distances, exact_knn_reference(points, queries, k))
+    gathered = points[indices] - queries[:, None, :]
+    recomputed = np.sqrt(np.einsum("ijk,ijk->ij", gathered, gathered))
+    assert np.array_equal(recomputed, distances)
+    assert np.all(np.diff(np.sort(indices, axis=1), axis=1) > 0)
+
+
+class TestKnnExactnessMatrix:
+    """The k-point seed subtree under every leaf-size/k relation, with ties."""
+
+    @pytest.mark.parametrize("leaf", LEAF_SIZES)
+    def test_all_points_query_is_exact(self, leaf):
+        points = tie_points()
+        flat = FlatKDTree(points, leaf_size=leaf)
+        # The brute-force kernel's matrix expansion carries a cancellation
+        # error of a few eps * max|x|^2 on *squared* distances (about 2e-8
+        # on a duplicate's zero distance), so it is compared on that scale;
+        # exactness itself is the byte-equality with the direct norms.
+        slack = 8 * np.finfo(np.float64).eps * np.einsum("ij,ij->i", points, points).max()
+        for k in k_values(leaf, len(points)):
+            indices, distances = flat.query_knn(points, k)
+            assert_exact_rows(points, points, indices, distances)
+            _, brute = knn_bruteforce(points, k)
+            assert np.all(np.abs(distances**2 - brute**2) <= slack)
+
+    @pytest.mark.parametrize("leaf", LEAF_SIZES)
+    def test_external_queries_are_exact(self, leaf):
+        points = tie_points()
+        queries = tie_queries(points)
+        flat = FlatKDTree(points, leaf_size=leaf)
+        for k in k_values(leaf, len(points)):
+            indices, distances = flat.query_knn(queries, k)
+            assert_exact_rows(points, queries, indices, distances)
+
+    @pytest.mark.parametrize("k", ALL_K)
+    def test_distances_byte_equal_across_leaf_sizes(self, k):
+        points = tie_points()
+        queries = np.vstack([points, tie_queries(points)])
+        rows = [
+            FlatKDTree(points, leaf_size=leaf).query_knn(queries, k)[1]
+            for leaf in LEAF_SIZES
+        ]
+        for other in rows[1:]:
+            assert other.tobytes() == rows[0].tobytes()
+
+    @pytest.mark.parametrize("k", [4, 20])
+    def test_lowered_backend_neighbour_sets_unchanged(self, k):
+        """numpy-f32 neighbour sets match those of the home-leaf-seeded
+        traversal the k-point seed subtree replaced (recorded references)."""
+        rng = np.random.default_rng(11)
+        points = rng.random((500, 3))
+        queries = np.vstack([points, rng.random((60, 3))])
+        expected = np.load(F32_SETS_PATH)[f"sets_k{k}"]
+        for leaf in LEAF_SIZES:
+            tree = KDTree(points, leaf_size=leaf, backend="numpy-f32")
+            indices, _ = knn(tree, k, queries=queries)
+            assert np.array_equal(np.sort(indices, axis=1), expected)
+
+
+class TestKnnWork:
+    @pytest.mark.parametrize("leaf", [4, 8, 16])
+    def test_folded_candidates_per_query_bounded(self, monkeypatch, leaf):
+        """The seed bound must be finite: a home-leaf seed with leaf < k left
+        it infinite and folded 264-481 candidates per query here."""
+        n, k = 4000, 10
+        points = np.random.default_rng(0).random((n, 2))
+        flat = FlatKDTree(points, leaf_size=leaf)
+        fold = FlatKDTree._fold_leaf_candidates
+        folded = []
+
+        def spy(self, queries, pair_q, pair_n, *args):
+            folded.append(int((self.node_end[pair_n] - self.node_start[pair_n]).sum()))
+            return fold(self, queries, pair_q, pair_n, *args)
+
+        monkeypatch.setattr(FlatKDTree, "_fold_leaf_candidates", spy)
+        flat.query_knn(points, k)
+        assert sum(folded) / n <= 8 * k
 
 
 class TestTreeReductions:

@@ -16,6 +16,7 @@ from repro.hdbscan import (
     mutual_reachability_matrix,
     optics_approx_mst,
 )
+from repro.spatial import KDTree
 
 EXACT_METHODS = [hdbscan_mst_gantao, hdbscan_mst_memogfk]
 
@@ -53,6 +54,30 @@ class TestCoreDistances:
     def test_invalid_method(self, small_points_2d):
         with pytest.raises(InvalidParameterError):
             core_distances(small_points_2d, 3, method="bogus")
+
+    def test_supplied_tree_over_other_point_count_rejected(self):
+        rng = np.random.default_rng(0)
+        tree = KDTree(rng.random((300, 2)), leaf_size=8)
+        with pytest.raises(InvalidParameterError, match="indexes 300 points"):
+            core_distances(rng.random((200, 2)), 5, method="kdtree", tree=tree)
+
+    def test_supplied_tree_over_other_points_rejected(self, small_points_2d):
+        tree = KDTree(small_points_2d + 1e-9, leaf_size=8)
+        with pytest.raises(InvalidParameterError, match="different point set"):
+            core_distances(small_points_2d, 5, method="kdtree", tree=tree)
+
+    def test_supplied_tree_backend_conflict_rejected(self, small_points_2d):
+        tree = KDTree(small_points_2d, leaf_size=8, backend="numpy-f32")
+        with pytest.raises(InvalidParameterError, match="numpy-f32"):
+            core_distances(
+                small_points_2d, 5, method="kdtree", tree=tree, backend="numpy"
+            )
+        # Without an explicit backend the tree's own backend is used.
+        reused = core_distances(small_points_2d, 5, method="kdtree", tree=tree)
+        fresh = core_distances(
+            small_points_2d, 5, method="kdtree", backend="numpy-f32"
+        )
+        assert np.array_equal(reused, fresh)
 
     def test_dense_point_has_smaller_core_distance(self):
         # One tight cluster plus one isolated point: the isolated point's core
