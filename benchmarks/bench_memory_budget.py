@@ -46,8 +46,8 @@ from _common import scaled
 #: tile constant, and degenerate (clamps at the tile floors everywhere).
 BUDGET_AXIS = ("256M", "32M", "4M", 1)
 
-#: Scale of the identity-gate records (HDBSCAN*'s default core-distance path
-#: is the chunked O(n^2) brute force, so this stays moderate).
+#: Scale of the identity-gate records (each is fitted once per budget of
+#: ``BUDGET_AXIS``, so this stays moderate).
 IDENTITY_N = 4_000
 
 #: Headline scale of the out-of-core gate (the ISSUE's n = 10^7 target).

@@ -8,29 +8,24 @@ Following the reference implementation we derive each node's sphere from its
 axis-aligned bounding box (center = box center, radius = half the box
 diagonal), which is cheap to maintain during kd-tree construction.
 
-Both shapes are metric-aware: every distance-flavoured method takes an
-optional :class:`~repro.core.metric.Metric` (``None`` keeps the historical
-Euclidean code path, bit for bit), and a sphere can carry the metric it was
-derived under so the scalar separation predicates stay metric-correct.  All
-supported metrics are norm-induced, so the sphere bounds remain valid: the
-circumscribing radius of a box is half the norm of its extent and the
-min/max sphere-to-sphere bounds follow from the triangle inequality alone.
+Both shapes are metric-aware: every distance-flavoured method takes a
+:class:`~repro.core.metric.Metric` (Euclidean by default) and evaluates its
+gap or span vector with :meth:`Metric.vector_norm`, one row of the metric's
+exact :meth:`~repro.core.metric.Metric.diff_norms` kernel; a sphere carries
+the metric it was derived under so the scalar separation predicates stay
+metric-correct.  All supported metrics are norm-induced, so the sphere bounds
+remain valid: the circumscribing radius of a box is half the norm of its
+extent and the min/max sphere-to-sphere bounds follow from the triangle
+inequality alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.core.metric import Metric
-
-
-def _norm(vector: np.ndarray, metric: Optional[Metric]) -> float:
-    if metric is None:
-        return float(np.linalg.norm(vector))
-    return metric.vector_norm(vector)
+from repro.core.metric import EUCLIDEAN, Metric
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class BoundingBox:
     @property
     def diagonal(self) -> float:
         """Euclidean length of the main diagonal."""
-        return float(np.linalg.norm(self.extent))
+        return EUCLIDEAN.vector_norm(self.extent)
 
     def contains(self, point: np.ndarray, *, tol: float = 0.0) -> bool:
         point = np.asarray(point, dtype=np.float64)
@@ -72,54 +67,47 @@ class BoundingBox:
             np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper)
         )
 
-    def to_sphere(self, metric: Optional[Metric] = None) -> "BoundingSphere":
+    def to_sphere(self, metric: Metric = EUCLIDEAN) -> "BoundingSphere":
         """Bounding sphere circumscribing the box under ``metric``."""
         return BoundingSphere(
-            self.center, 0.5 * _norm(self.extent, metric), metric=metric
+            self.center, 0.5 * metric.vector_norm(self.extent), metric=metric
         )
 
-    def min_distance(
-        self, other: "BoundingBox", metric: Optional[Metric] = None
-    ) -> float:
+    def min_distance(self, other: "BoundingBox", metric: Metric = EUCLIDEAN) -> float:
         """Minimum distance between the two boxes (0 if they overlap)."""
         gap = np.maximum(
             np.maximum(self.lower - other.upper, other.lower - self.upper), 0.0
         )
-        return _norm(gap, metric)
+        return metric.vector_norm(gap)
 
-    def max_distance(
-        self, other: "BoundingBox", metric: Optional[Metric] = None
-    ) -> float:
+    def max_distance(self, other: "BoundingBox", metric: Metric = EUCLIDEAN) -> float:
         """Maximum distance between any two points of the boxes."""
         span = np.maximum(self.upper - other.lower, other.upper - self.lower)
-        return _norm(span, metric)
+        return metric.vector_norm(span)
 
     def min_distance_to_point(
-        self, point: np.ndarray, metric: Optional[Metric] = None
+        self, point: np.ndarray, metric: Metric = EUCLIDEAN
     ) -> float:
         point = np.asarray(point, dtype=np.float64)
         gap = np.maximum(np.maximum(self.lower - point, point - self.upper), 0.0)
-        return _norm(gap, metric)
+        return metric.vector_norm(gap)
 
 
 @dataclass(frozen=True)
 class BoundingSphere:
-    """Sphere with a center and radius (a metric ball when ``metric`` is set).
+    """Sphere with a center and radius: a ball of ``metric`` (Euclidean by default).
 
     ``distance`` / ``max_distance`` give the lower and upper bounds on the
     distance between points contained in two spheres, exactly the quantities
     ``d(A, B)`` and ``d_max(A, B)`` used throughout Section 3 of the paper.
-    A ``metric`` of ``None`` means Euclidean (the historical code path).
     """
 
     center: np.ndarray
     radius: float
-    metric: Optional[Metric] = None
+    metric: Metric = EUCLIDEAN
 
     @staticmethod
-    def of_points(
-        points: np.ndarray, metric: Optional[Metric] = None
-    ) -> "BoundingSphere":
+    def of_points(points: np.ndarray, metric: Metric = EUCLIDEAN) -> "BoundingSphere":
         """Sphere circumscribing the axis-aligned bounding box of ``points``."""
         return BoundingBox.of_points(points).to_sphere(metric)
 
@@ -128,7 +116,7 @@ class BoundingSphere:
         return 2.0 * self.radius
 
     def _center_gap(self, other: "BoundingSphere") -> float:
-        return _norm(self.center - other.center, self.metric)
+        return self.metric.point_distance(self.center, other.center)
 
     def distance(self, other: "BoundingSphere") -> float:
         """Minimum distance between the two spheres (0 if they intersect)."""
@@ -139,8 +127,7 @@ class BoundingSphere:
         return self._center_gap(other) + self.radius + other.radius
 
     def contains(self, point: np.ndarray, *, tol: float = 1e-9) -> bool:
-        point = np.asarray(point, dtype=np.float64)
-        return _norm(point - self.center, self.metric) <= self.radius + tol
+        return self.metric.point_distance(point, self.center) <= self.radius + tol
 
     def well_separated_from(self, other: "BoundingSphere", s: float = 2.0) -> bool:
         """Callahan–Kosaraju well-separation with separation constant ``s``.

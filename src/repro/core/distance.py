@@ -3,8 +3,7 @@
 Historically this module *was* the geometry of the library — hardcoded
 Euclidean kernels.  The kernels now live on :class:`repro.core.metric.Metric`
 implementations; the functions here keep the established call signatures and
-dispatch to a metric (Euclidean by default, so every existing caller gets the
-exact same code path bit for bit).  The cost accounting in
+dispatch to a metric (Euclidean by default).  The cost accounting in
 :mod:`repro.parallel.scheduler` still charges work in units of "distance
 evaluations" regardless of the metric.
 """

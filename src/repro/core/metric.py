@@ -1,13 +1,23 @@
 """Pluggable distance metrics: the geometry core every layer dispatches on.
 
 A :class:`Metric` bundles the vectorized distance kernels (point-point,
-point-block, pairwise, cancellation-safe exact edge weights, batched BCCP
-block tensors) together with the geometric bounds the upper layers need
-(point-to-box gaps, bounding-"sphere" radii derived from box extents).  The
-kd-tree stores its per-node radii under the metric it was built with, so the
-WSPD separation predicates, the MemoGFK window bounds, the BCCP kernels and
-the k-NN traversals all stay metric-correct without any per-call plumbing:
-the metric rides the tree.
+point-block, pairwise, exact edge weights, batched BCCP block tensors)
+together with the geometric bounds the upper layers need (point-to-box gaps,
+bounding-"sphere" radii derived from box extents).  The kd-tree stores its
+per-node radii under the metric it was built with, so the WSPD separation
+predicates, the MemoGFK window bounds, the BCCP kernels and the k-NN
+traversals all stay metric-correct without any per-call plumbing: the metric
+rides the tree.
+
+**One exact kernel per metric.**  :meth:`Metric.diff_norms` is the only
+kernel that produces an *exact* pair distance: the k-NN fold (and so every
+core distance), :meth:`Metric.exact_edge_weights` (every MST and mutual
+reachability weight), :meth:`Metric.vector_norm` / :meth:`point_distance`
+and the box gaps of :mod:`repro.core.bounding` all derive from it, on
+C-contiguous rows, so one pair ``(u, v)`` has one float64 value wherever it
+is read.  The expansion kernels (:meth:`cross_distances`,
+:meth:`block_cross_distances`) only *score* candidates; every winner they
+pick is re-evaluated through :meth:`diff_norms`.
 
 Every metric here is induced by a norm (``d(x, y) = ||x - y||``), so the
 bounding-volume reasoning the paper does with Euclidean spheres carries over
@@ -19,10 +29,8 @@ per-axis gap vector.
 
 Supported metrics:
 
-* ``euclidean`` (L2) — byte-for-byte the kernels the engine has always used:
-  squared-expansion BLAS matrix products compared in squared space internally
-  (the "sqeuclidean" fast path) with one final clamp-and-sqrt, and the exact
-  difference-and-norm re-evaluation for MST edge weights;
+* ``euclidean`` (L2) — the scoring kernels compare in squared space (the
+  ``|x|^2 + |y|^2 - 2 x.y`` BLAS expansion) with one final clamp-and-sqrt;
 * ``manhattan`` (L1, a.k.a. cityblock/taxicab);
 * ``chebyshev`` (L∞, a.k.a. maximum/chessboard);
 * ``minkowski`` with a general order ``p >= 1`` (``p`` of 1, 2 or ``inf``
@@ -62,8 +70,9 @@ def _as_float(array: np.ndarray) -> np.ndarray:
 class Metric:
     """A norm-induced distance metric and its batched kernels.
 
-    Subclasses implement the row-norm primitive :meth:`diff_norms` plus the
-    dense kernels that have metric-specific fast paths.  The dense kernels
+    Subclasses implement the row-norm primitive :meth:`_row_norms` (exposed
+    as :meth:`diff_norms`, the one exact pair-distance kernel) plus the dense
+    scoring kernels that have metric-specific fast paths.  The dense kernels
     are dtype-polymorphic over float64 and float32 (float32 inputs score in
     float32 — the lowered-backend fast path; every other dtype promotes to
     float64); the scalar kernels and :meth:`exact_edge_weights` always
@@ -92,8 +101,9 @@ class Metric:
     # -- scalar kernels ------------------------------------------------------
 
     def vector_norm(self, vector) -> float:
-        """Norm of a single 1-d coordinate vector."""
-        raise NotImplementedError
+        """Norm of a single 1-d coordinate vector: one row of :meth:`diff_norms`."""
+        row = np.asarray(vector, dtype=np.float64).reshape(1, -1)
+        return float(self.diff_norms(row)[0])
 
     def point_distance(self, p, q) -> float:
         """Distance between two points given as 1-d coordinate arrays."""
@@ -106,7 +116,17 @@ class Metric:
     # -- batched row kernels -------------------------------------------------
 
     def diff_norms(self, diff: np.ndarray) -> np.ndarray:
-        """Row norms of an ``(m, d)`` array of difference (or gap) vectors."""
+        """Row norms of an ``(m, d)`` array of difference (or gap) vectors.
+
+        The one exact pair-distance kernel.  Rows are reduced in C-contiguous
+        layout: a row's value then depends only on its own coordinates, not
+        on the batch size, its position or the caller's memory order (numpy
+        sums an F-ordered or strided row in a different order).
+        """
+        return self._row_norms(np.ascontiguousarray(diff))
+
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
+        """Row norms of a C-contiguous ``(m, d)`` array."""
         raise NotImplementedError
 
     def distances_to_point(self, points: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -131,11 +151,13 @@ class Metric:
     ) -> np.ndarray:
         """Exact edge weights for parallel arrays of point indices.
 
-        The matrix kernels may trade a few digits for batching (the Euclidean
+        The scoring kernels may trade a few digits for batching (the Euclidean
         expansion loses them to cancellation); MST edge weights must be exact,
-        so winning pairs are re-evaluated with a direct difference-and-norm
-        pass.  With ``core_distances`` the returned weight is the mutual
-        reachability distance ``max(cd(u), cd(v), d(u, v))``.
+        so winning pairs are re-evaluated through :meth:`diff_norms` — the
+        same kernel the k-NN fold reads core distances from, so a weight
+        that ties a core distance ties it bit for bit.  With
+        ``core_distances`` the returned weight is the mutual reachability
+        distance ``max(cd(u), cd(v), d(u, v))``.
         """
         index_a = np.asarray(index_a, dtype=np.int64)
         index_b = np.asarray(index_b, dtype=np.int64)
@@ -169,22 +191,17 @@ class Metric:
 
 
 class EuclideanMetric(Metric):
-    """L2 metric — bit-for-bit the kernels the engine has always used.
+    """L2 metric.
 
-    Comparisons inside the dense kernels happen in *squared* space (the
+    The dense scoring kernels compare in *squared* space (the
     ``|x|^2 + |y|^2 - 2 x.y`` BLAS expansion — the internal "sqeuclidean"
-    fast path) with a single clamp-and-sqrt at the end; exact edge weights
-    use the batched row-wise ``matmul`` that reproduces the historical
-    per-edge ``np.linalg.norm`` bit for bit.
+    fast path) with a single clamp-and-sqrt at the end; exact distances are
+    the einsum row sums of :meth:`diff_norms`.
     """
 
     name = "euclidean"
 
-    def vector_norm(self, vector) -> float:
-        diff = np.asarray(vector, dtype=np.float64)
-        return float(np.sqrt(np.dot(diff, diff)))
-
-    def diff_norms(self, diff: np.ndarray) -> np.ndarray:
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def squared_distances_to_point(
@@ -202,24 +219,6 @@ class EuclideanMetric(Metric):
         sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
         np.maximum(sq, 0.0, out=sq)
         return np.sqrt(sq)
-
-    def exact_edge_weights(
-        self,
-        points: np.ndarray,
-        index_a: np.ndarray,
-        index_b: np.ndarray,
-        core_distances: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        index_a = np.asarray(index_a, dtype=np.int64)
-        index_b = np.asarray(index_b, dtype=np.int64)
-        diff = points[index_a] - points[index_b]
-        # Batched row-wise dot products (BLAS), bit-identical to the historical
-        # per-edge ``np.linalg.norm(diff)`` — a SIMD ``einsum`` sum is not.
-        weights = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-        if core_distances is not None:
-            np.maximum(weights, core_distances[index_a], out=weights)
-            np.maximum(weights, core_distances[index_b], out=weights)
-        return weights
 
     def block_cross_distances(
         self, pts_a: np.ndarray, pts_b: np.ndarray, workspace
@@ -292,10 +291,7 @@ class ManhattanMetric(_AxisAccumulatingMetric):
 
     name = "manhattan"
 
-    def vector_norm(self, vector) -> float:
-        return float(np.abs(np.asarray(vector, dtype=np.float64)).sum())
-
-    def diff_norms(self, diff: np.ndarray) -> np.ndarray:
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
         return np.abs(diff).sum(axis=-1)
 
     def _accumulate(self, acc: np.ndarray, axis_abs_diff: np.ndarray) -> None:
@@ -307,11 +303,7 @@ class ChebyshevMetric(_AxisAccumulatingMetric):
 
     name = "chebyshev"
 
-    def vector_norm(self, vector) -> float:
-        vector = np.asarray(vector, dtype=np.float64)
-        return float(np.abs(vector).max()) if vector.size else 0.0
-
-    def diff_norms(self, diff: np.ndarray) -> np.ndarray:
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
         return np.abs(diff).max(axis=-1)
 
     def _accumulate(self, acc: np.ndarray, axis_abs_diff: np.ndarray) -> None:
@@ -322,8 +314,7 @@ class MinkowskiMetric(_AxisAccumulatingMetric):
     """General Lp metric for a finite order ``p > 1`` (``p != 2``).
 
     Orders 1, 2 and ``inf`` canonicalize to the dedicated classes via
-    :func:`resolve_metric`, which keeps their faster (and, for Euclidean,
-    byte-stable) kernels in play.
+    :func:`resolve_metric`, which keeps their faster kernels in play.
     """
 
     name = "minkowski"
@@ -343,11 +334,7 @@ class MinkowskiMetric(_AxisAccumulatingMetric):
     def __repr__(self) -> str:
         return f"MinkowskiMetric(p={self.p!r})"
 
-    def vector_norm(self, vector) -> float:
-        vector = np.asarray(vector, dtype=np.float64)
-        return float((np.abs(vector) ** self.p).sum() ** (1.0 / self.p))
-
-    def diff_norms(self, diff: np.ndarray) -> np.ndarray:
+    def _row_norms(self, diff: np.ndarray) -> np.ndarray:
         return (np.abs(diff) ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def _accumulate(self, acc: np.ndarray, axis_abs_diff: np.ndarray) -> None:

@@ -37,10 +37,11 @@ full invalidation is exact, not conservative.
 
 States made by :func:`fit_dynamic` carry their repair support with them;
 states from :func:`repro.serve.state.fit_state` (or a ``load_state``) are
-adopted by running one cold :func:`fit_dynamic` over their points first
-(their bruteforce-path core distances are not subset-recomputable, so the
-adopting fit re-derives them through the kd-tree path).  A state that has
-been updated *from* hands its support to the successor state and reverts to
+adopted by running one cold :func:`fit_dynamic` over their points first.
+Their core distances are already the same kd-tree bits (every exact pair
+distance comes from :meth:`Metric.diff_norms`); the adopting fit runs to
+build the repair support and the canonical MST.  A state that has been
+updated *from* hands its support to the successor state and reverts to
 plain read-only serving.
 """
 
@@ -208,13 +209,13 @@ def fit_dynamic(
     """Cold fit producing an updatable :class:`FitState` (``method="dynamic"``).
 
     This is the refit that :func:`update_batch` is byte-conformant
-    against.  It differs from
-    :func:`repro.serve.state.fit_state` in two deliberate ways: core
-    distances go through the kd-tree path (tree-structure independent, hence
-    recomputable for an arbitrary subset of points after an update), and the
-    MST is emitted in the canonical normal form of
-    :func:`repro.mst.canonical_mst_arrays` (a pure function of the
-    weight-class filtration, hence reachable by local repair).  Accepts any
+    against.  Its core distances are the kd-tree k-NN values every
+    HDBSCAN* pipeline computes (tree-structure independent, hence
+    recomputable for an arbitrary subset of points after an update); it
+    differs from :func:`repro.serve.state.fit_state` in emitting the MST in
+    the canonical normal form of :func:`repro.mst.canonical_mst_arrays` (a
+    pure function of the weight-class filtration, hence reachable by local
+    repair) and in keeping the repair support.  Accepts any
     ``n >= 0``, clamping ``minPts`` to ``min(min_pts, n)`` like the HDBSCAN
     drivers do.
     """
@@ -500,7 +501,8 @@ def _adopt(state: FitState, num_threads: Optional[int]) -> FitState:
     States without repair support (built by :func:`fit_state`, restored by
     ``load_state``, or previously updated *from*) get one cold
     :func:`fit_dynamic` over their current points with their fitted
-    parameters.
+    parameters.  Their core distances already match it bit for bit; the
+    refit builds the repair support and the canonical MST.
     """
     if getattr(state, SUPPORT_ATTR, None) is not None:
         return state

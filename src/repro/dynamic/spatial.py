@@ -12,9 +12,9 @@ repair:
 * ragged *alive member* extraction for a batch of nodes;
 * a segmented masked BCCP: the exact minimum mutual-reachability pair over
   the alive cross product of each (node, node) pair, evaluated with the
-  row-wise :meth:`Metric.exact_edge_weights` kernel — the dynamic engine's
-  cold path uses the same kernel for every candidate, so cached and
-  recomputed values share one bitwise contract;
+  row-wise :meth:`Metric.exact_edge_weights` kernel — the same
+  :meth:`Metric.diff_norms` rows the k-NN fold reads core distances from, so
+  cached and recomputed values share one bitwise contract;
 * the winner *beat* test — a certified lower bound deciding whether a
   core-distance change anywhere in a pair could undercut its cached winner;
 * the singleton descent pairing each buffered point against the base tree
@@ -307,7 +307,6 @@ def _certified_box_gap_hi(
     eps = float(np.finfo(np.float64).eps)
     p_order = max(float(getattr(metric, "p", 2.0)), 2.0)
     factor = 1.0 + (8.0 * p_order * dim + 32.0) * eps
-    name = metric.name
     lower = np.ascontiguousarray(flat.node_lower, dtype=np.float64)
     upper = np.ascontiguousarray(flat.node_upper, dtype=np.float64)
     out = np.empty(num, dtype=np.float64)
@@ -327,18 +326,7 @@ def _certified_box_gap_hi(
         np.subtract(t, u, out=t)
         np.maximum(g, t, out=g)
         np.maximum(g, 0.0, out=g)
-        if name == "euclidean":
-            np.einsum("md,md->m", g, g, out=out[sl])
-            np.sqrt(out[sl], out=out[sl])
-        elif name == "manhattan":
-            g.sum(axis=1, out=out[sl])
-        elif name == "chebyshev":
-            g.max(axis=1, out=out[sl])
-        else:
-            p = float(getattr(metric, "p", 2.0))
-            np.power(g, p, out=g)
-            g.sum(axis=1, out=out[sl])
-            np.power(out[sl], 1.0 / p, out=out[sl])
+        out[sl] = metric.diff_norms(g)
     out *= factor
     return out
 

@@ -91,8 +91,8 @@ def emst(
         Distance metric: a name (``"euclidean"``, ``"manhattan"``,
         ``"chebyshev"``, ``"minkowski:p"``), a
         :class:`~repro.core.metric.Metric` instance, or ``None`` for
-        Euclidean.  The Euclidean path is byte-identical to the historical
-        Euclidean-only engine.
+        Euclidean.  Every exact method reads its edge weights from the
+        metric's one exact pair kernel, so they report the same bits.
     backend:
         Kernel backend: a name (``"numpy"``, ``"numba"``, ``"numpy-f32"``,
         ``"numba-f32"``), a :class:`~repro.core.backend.KernelBackend`

@@ -53,16 +53,16 @@ def _nearest_foreign(
     """Nearest neighbour of a point that lies in a different component."""
     points = tree.points
     metric = tree.metric
-    sphere_metric = tree.sphere_metric
     query = points[query_index]
     best_distance = math.inf
     best_index = -1
 
-    def visit(node: KDNode) -> None:
+    def gap(node: KDNode) -> float:
+        return node.box.min_distance_to_point(query, metric)
+
+    def visit(node: KDNode, node_gap: float) -> None:
         nonlocal best_distance, best_index
-        if purity[node.node_id] == query_label:
-            return
-        if node.box.min_distance_to_point(query, sphere_metric) >= best_distance:
+        if purity[node.node_id] == query_label or node_gap >= best_distance:
             return
         if node.is_leaf:
             candidates = node.indices[labels[node.indices] != query_label]
@@ -75,13 +75,17 @@ def _nearest_foreign(
                 best_distance = float(dists[local_best])
                 best_index = int(candidates[local_best])
             return
+        # Each child's box gap is evaluated once: it orders the children and
+        # is the pruning test when the child is visited.
         first, second = node.left, node.right
-        if second.box.min_distance_to_point(query, sphere_metric) < first.box.min_distance_to_point(query, sphere_metric):
+        first_gap, second_gap = gap(first), gap(second)
+        if second_gap < first_gap:
             first, second = second, first
-        visit(first)
-        visit(second)
+            first_gap, second_gap = second_gap, first_gap
+        visit(first, first_gap)
+        visit(second, second_gap)
 
-    visit(tree.root)
+    visit(tree.root, gap(tree.root))
     return best_index, best_distance
 
 

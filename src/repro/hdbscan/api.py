@@ -104,7 +104,9 @@ def hdbscan(
         Distance metric the core distances and mutual reachability are taken
         under: a name (``"euclidean"``, ``"manhattan"``, ``"chebyshev"``,
         ``"minkowski:p"``), a :class:`~repro.core.metric.Metric` instance, or
-        ``None`` for Euclidean (byte-identical to the historical engine).
+        ``None`` for Euclidean.  Core distances come from the kd-tree k-NN
+        and every edge weight from the metric's one exact pair kernel, so a
+        weight that ties a core distance ties it bit for bit.
     backend:
         Kernel backend for every batched stage (name,
         :class:`~repro.core.backend.KernelBackend` instance, or ``None`` for

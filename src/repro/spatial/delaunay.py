@@ -14,6 +14,7 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from repro.core.errors import InvalidParameterError
+from repro.core.metric import EUCLIDEAN
 from repro.core.points import as_points
 from repro.parallel.scheduler import current_tracker
 
@@ -38,18 +39,13 @@ def delaunay_edges(points) -> Tuple[np.ndarray, np.ndarray]:
     if n < 3:
         # Qhull needs at least 3 non-collinear points; with 2 the only edge is
         # the pair itself.
-        edges = np.array([[0, 1]], dtype=np.int64)
-        weights = np.array([float(np.linalg.norm(data[0] - data[1]))])
-        return edges, weights
-
-    current_tracker().add(n * max(np.log2(n), 1.0), max(np.log2(n), 1.0), phase="delaunay")
-    triangulation = Delaunay(data, qhull_options="QJ")
-    simplices = triangulation.simplices
-    pairs = np.vstack(
-        [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]]
-    )
-    pairs.sort(axis=1)
-    pairs = np.unique(pairs, axis=0).astype(np.int64)
-    diffs = data[pairs[:, 0]] - data[pairs[:, 1]]
-    weights = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    return pairs, weights
+        pairs = np.array([[0, 1]], dtype=np.int64)
+    else:
+        current_tracker().add(n * max(np.log2(n), 1.0), max(np.log2(n), 1.0), phase="delaunay")
+        simplices = Delaunay(data, qhull_options="QJ").simplices
+        pairs = np.vstack(
+            [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]]
+        )
+        pairs.sort(axis=1)
+        pairs = np.unique(pairs, axis=0).astype(np.int64)
+    return pairs, EUCLIDEAN.exact_edge_weights(data, pairs[:, 0], pairs[:, 1])

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.backend import BackendLike, resolve_backend
 from repro.core.bounding import BoundingBox, BoundingSphere
 from repro.core.errors import InvalidParameterError, NotComputedError
-from repro.core.metric import EUCLIDEAN, Metric, MetricLike, resolve_metric
+from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.spatial.flat import FlatKDTree
 
@@ -71,7 +71,7 @@ class KDNode:
             self._sphere = BoundingSphere(
                 flat.node_center[self.node_id],
                 float(flat.node_radius[self.node_id]),
-                metric=self._tree.sphere_metric,
+                metric=self._tree.metric,
             )
         return self._sphere
 
@@ -187,15 +187,6 @@ class KDTree:
         tree._views = {}
         tree._core_distances = None
         return tree
-
-    @property
-    def sphere_metric(self) -> Optional[Metric]:
-        """Metric handed to node-view spheres.
-
-        ``None`` for Euclidean trees so the scalar sphere methods keep their
-        historical ``np.linalg.norm`` code path bit for bit.
-        """
-        return None if self.metric == EUCLIDEAN else self.metric
 
     # -- structural accessors -------------------------------------------------
 

@@ -119,6 +119,13 @@ def legacy_knn(
     return indices, distances
 
 
+def _box_gap(box: BoundingBox, query: np.ndarray) -> float:
+    """Point-to-box distance as the seed computed it (``np.linalg.norm``), so
+    the baseline keeps the seed's per-node cost."""
+    gap = np.maximum(np.maximum(box.lower - query, query - box.upper), 0.0)
+    return float(np.linalg.norm(gap))
+
+
 def _query_single(
     tree: LegacyKDTree, query: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -126,7 +133,7 @@ def _query_single(
     points = tree.points
 
     def visit(node: LegacyKDNode) -> None:
-        if len(heap) == k and -heap[0][0] <= node.box.min_distance_to_point(query):
+        if len(heap) == k and -heap[0][0] <= _box_gap(node.box, query):
             return
         if node.is_leaf:
             leaf_points = points[node.indices]
@@ -139,7 +146,7 @@ def _query_single(
                     heapq.heapreplace(heap, (-float(dist), int(idx)))
             return
         first, second = node.left, node.right
-        if second.box.min_distance_to_point(query) < first.box.min_distance_to_point(query):
+        if _box_gap(second.box, query) < _box_gap(first.box, query):
             first, second = second, first
         visit(first)
         visit(second)
