@@ -1,26 +1,25 @@
-"""Array-native edge pipeline vs. the per-pair / per-edge reference paths.
+"""Array-native edge pipeline: the BCCP phase and the dendrogram build.
 
-This driver measures the two hot stages that PR 2 vectorized downstream of
-the spatial engine:
+This driver measures the two hot stages downstream of the spatial engine:
 
 * the **BCCP phase** of GFK/MemoGFK — the full WSPD pair set of a 20k-point
   kd-tree evaluated through the batched size-class kernel
   (:func:`repro.wspd.bccp.bccp_batch` via the array-backed
-  :class:`~repro.wspd.bccp.BCCPCache`) against the per-pair scalar kernel
-  that the PR-1 engine dispatched one Python call at a time;
+  :class:`~repro.wspd.bccp.BCCPCache`); its time is recorded, and the
+  winners of up to 500 sampled pairs must equal an inline brute force over
+  the two nodes' points;
 * the **dendrogram build** — the array union-find merge sweep of
   :func:`repro.dendrogram.sequential.dendrogram_sequential` against the
   historical per-edge dict-and-``add_internal`` loop (reproduced here
-  verbatim as the reference).
+  verbatim as the reference), with an identical linkage matrix and a >= 2x
+  speedup at the headline scale.
 
-Both comparisons assert byte-identical outputs (same BCCP endpoints and exact
-weights, same linkage matrix) — the refactor's invariant — and a >= 2x
-speedup at the headline scale.  Results are also written as JSON (see
-``REPRO_BENCH_JSON``) so the CI workflow can archive them.
+Results are also written as JSON (see ``REPRO_BENCH_JSON``) so the CI
+workflow can archive them.
 
 Run with ``pytest benchmarks/bench_edge_pipeline.py -s``; set
 ``REPRO_BENCH_SCALE`` to grow or shrink the dataset sizes (the speedup
-assertions are enforced at scale >= 1 only, since tiny smoke runs are
+assertion is enforced at scale >= 1 only, since tiny smoke runs are
 dominated by constant overheads).
 """
 
@@ -40,7 +39,7 @@ from repro.dendrogram.structure import Dendrogram
 from repro.emst import emst_gfk, emst_memogfk
 from repro.parallel.unionfind import UnionFind
 from repro.spatial import KDTree
-from repro.wspd.bccp import BCCPCache, bccp
+from repro.wspd.bccp import BCCPCache
 from repro.wspd.wspd import compute_wspd_ids
 
 from _common import scaled
@@ -86,55 +85,51 @@ def dendrogram_sequential_reference(edge_list, num_points, start=0):
     return dendrogram
 
 
-def test_batched_bccp_speedup(benchmark):
-    """Batched BCCP kernel >= 2x over the per-pair scalar path, identical output."""
+#: WSPD pairs re-checked against the inline brute-force BCCP.
+IDENTITY_SAMPLE = 500
+
+
+def test_batched_bccp_phase(benchmark):
+    """Batched BCCP phase time, and its winners equal brute force."""
     n = scaled(HEADLINE_N)
     points = np.random.default_rng(0).random((n, 2))
     tree = KDTree(points, leaf_size=1)
+    flat = tree.flat
     pair_a, pair_b = compute_wspd_ids(tree)
 
     def measure():
         cache = BCCPCache(tree)
         start = time.perf_counter()
         point_a, point_b, weights = cache.get_batch(pair_a, pair_b)
-        batched = time.perf_counter() - start
+        return point_a, point_b, weights, time.perf_counter() - start
 
-        start = time.perf_counter()
-        scalar = [
-            bccp(tree, tree.node(a), tree.node(b))
-            for a, b in zip(pair_a.tolist(), pair_b.tolist())
-        ]
-        per_pair = time.perf_counter() - start
-        return point_a, point_b, weights, batched, per_pair, scalar
-
-    point_a, point_b, weights, batched, per_pair, scalar = benchmark.pedantic(
+    point_a, point_b, weights, batched = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
 
-    assert all(
-        result.point_a == int(point_a[i])
-        and result.point_b == int(point_b[i])
-        and result.distance == float(weights[i])
-        for i, result in enumerate(scalar)
-    ), "batched BCCP kernel diverged from the scalar reference"
+    # Brute force per sampled pair: the row-major first minimum of the dense
+    # |A| x |B| distance matrix, re-evaluated with the exact pair kernel.
+    sample = np.random.default_rng(1).choice(
+        pair_a.size, size=min(IDENTITY_SAMPLE, pair_a.size), replace=False
+    )
+    for i in sample.tolist():
+        ia = flat.point_indices(pair_a[i])
+        ib = flat.point_indices(pair_b[i])
+        scores = flat.metric.cross_distances(points[ia], points[ib])
+        r, c = divmod(int(np.argmin(scores)), scores.shape[1])
+        exact = flat.metric.exact_edge_weights(points, [ia[r]], [ib[c]])[0]
+        assert (ia[r], ib[c], exact) == (point_a[i], point_b[i], weights[i]), (
+            "batched BCCP kernel diverged from brute force"
+        )
 
-    speedup = per_pair / batched
     print(
         f"\n[edge-pipeline] BCCP phase n={n} pairs={pair_a.size}: "
-        f"per-pair {per_pair:.3f}s -> batched {batched:.3f}s ({speedup:.1f}x)"
+        f"batched {batched:.3f}s; {sample.size} sampled pairs equal brute force"
     )
     _record(
         "bccp_phase",
-        {
-            "n": n,
-            "pairs": int(pair_a.size),
-            "per_pair_seconds": per_pair,
-            "batched_seconds": batched,
-            "speedup": speedup,
-        },
+        {"n": n, "pairs": int(pair_a.size), "batched_seconds": batched},
     )
-    if _at_full_scale():
-        assert speedup >= 2.0
 
 
 def test_dendrogram_build_speedup(benchmark):

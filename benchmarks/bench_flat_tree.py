@@ -1,23 +1,18 @@
-"""Flat kd-tree engine: build and all-points kNN throughput.
+"""Flat kd-tree engine: build plus all-points kNN against brute force.
 
 This driver records the speedup of the array-native
 :class:`~repro.spatial.flat.FlatKDTree` (structure-of-arrays storage, batched
-frontier traversals) against two baselines on the all-points k-NN — the
-core-distance workload of HDBSCAN*:
+frontier traversals) on the all-points k-NN — the core-distance workload of
+HDBSCAN* — against chunked brute force
+(:func:`~repro.spatial.knn.knn_bruteforce`), the fastest other exact k-NN in
+the repository.  At the serving configuration (20k uniform 2-D points, k=10,
+leaf size 8 < k) tree build plus query must be at least 2x faster.  Leaves
+smaller than k are the case in which a traversal whose pruning bound never
+becomes finite degrades to brute force, so this gate guards the k-point seed
+subtree.
 
-* the historical node-object tree preserved in :mod:`repro.spatial.legacy`
-  (one Python object per node, per-query recursive traversal), on 20k
-  uniform 2-D points, where the flat engine must be at least 2x faster end
-  to end;
-* chunked brute force (:func:`~repro.spatial.knn.knn_bruteforce`), the
-  fastest other exact k-NN in the repository, at the serving configuration
-  (20k uniform 2-D points, k=10, leaf size 8 < k), where tree build plus
-  query must be at least 2x faster.  Leaves smaller than k are the case in
-  which a traversal whose pruning bound never becomes finite degrades to
-  brute force, so this gate guards the k-point seed subtree.
-
-Run with ``pytest benchmarks/bench_flat_tree.py -s`` to see the table; set
-``REPRO_BENCH_SCALE`` to grow or shrink the dataset sizes.
+Run with ``pytest benchmarks/bench_flat_tree.py -s`` to see the result; set
+``REPRO_BENCH_SCALE`` to grow or shrink the dataset size.
 """
 
 from __future__ import annotations
@@ -26,57 +21,11 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.spatial import KDTree, knn
 from repro.spatial.knn import knn_bruteforce
-from repro.spatial.legacy import LegacyKDTree, legacy_knn
 
 from _common import scaled
-
-#: (n, d, k, leaf_size) configurations; the first is the acceptance headline.
-CONFIGS = [
-    (20_000, 2, 10, 32),
-    (5_000, 5, 10, 32),
-]
-
-
-def _measure(points: np.ndarray, k: int, leaf_size: int):
-    start = time.perf_counter()
-    flat_tree = KDTree(points, leaf_size=leaf_size)
-    flat_build = time.perf_counter() - start
-    start = time.perf_counter()
-    _, flat_dists = knn(flat_tree, k)
-    flat_query = time.perf_counter() - start
-
-    start = time.perf_counter()
-    legacy_tree = LegacyKDTree(points, leaf_size=leaf_size)
-    legacy_build = time.perf_counter() - start
-    start = time.perf_counter()
-    _, legacy_dists = legacy_knn(legacy_tree, k)
-    legacy_query = time.perf_counter() - start
-
-    assert np.allclose(flat_dists, legacy_dists, rtol=1e-12, atol=0)
-    return flat_build, flat_query, legacy_build, legacy_query
-
-
-@pytest.mark.parametrize("n,d,k,leaf_size", CONFIGS)
-def test_flat_tree_speedup(benchmark, n, d, k, leaf_size):
-    """Flat engine must be >= 2x faster than the node-object path."""
-    points = np.random.default_rng(0).random((scaled(n), d))
-    flat_build, flat_query, legacy_build, legacy_query = benchmark.pedantic(
-        _measure, args=(points, k, leaf_size), rounds=1, iterations=1
-    )
-    build_speedup = legacy_build / flat_build
-    query_speedup = legacy_query / flat_query
-    total_speedup = (legacy_build + legacy_query) / (flat_build + flat_query)
-    print(
-        f"\n[flat-tree] n={points.shape[0]} d={d} k={k} leaf={leaf_size}: "
-        f"build {legacy_build:.3f}s -> {flat_build:.3f}s ({build_speedup:.1f}x), "
-        f"all-points kNN {legacy_query:.3f}s -> {flat_query:.3f}s "
-        f"({query_speedup:.1f}x), end-to-end {total_speedup:.1f}x"
-    )
-    assert total_speedup >= 2.0
 
 
 #: (n, d, k, leaf_size) of the serving tree's all-points k-NN.

@@ -191,7 +191,6 @@ def approx_emst(
     epsilon: float = 0.1,
     *,
     representative: str = "sample",
-    leaf_size: int = 1,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
 ) -> EMSTResult:
@@ -211,9 +210,6 @@ def approx_emst(
         decomposition.  ``"bccp"``: exact batched BCCPs of the geometric
         ``s = 2`` decomposition (per-pair factor 1, the conservative end of
         the axis).
-    leaf_size:
-        kd-tree leaf size for the WSPD (must effectively be 1, as for every
-        WSPD consumer).
     num_threads:
         Worker threads: the WSPD separation/certificate sweeps, the BCCP
         size-class kernels (``representative="bccp"``), the candidate weight
@@ -249,7 +245,7 @@ def approx_emst(
 
     timings = {}
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    tree = KDTree(data, metric=metric)
     flat = tree.flat
     timings["build-tree"] = time.perf_counter() - start
 
@@ -335,7 +331,6 @@ def emst_wspd_approx(
     *,
     epsilon: float = 0.0,
     representative: str = "sample",
-    leaf_size: int = 1,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
 ) -> EMSTResult:
@@ -349,7 +344,6 @@ def emst_wspd_approx(
         points,
         epsilon,
         representative=representative,
-        leaf_size=leaf_size,
         num_threads=num_threads,
         metric=metric,
     )

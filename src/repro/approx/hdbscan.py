@@ -58,7 +58,7 @@ from repro.wspd.separation import (
 from repro.wspd.wspd import PairMask, compute_wspd_ids
 
 
-def bccp_star_lower_bounds(
+def mr_bccp_lower_bounds(
     flat: FlatKDTree, a: np.ndarray, b: np.ndarray, rep_distances: np.ndarray
 ) -> np.ndarray:
     """Per-pair lower bound on ``BCCP*(A, B)``: the geometric BCCP bound
@@ -82,7 +82,7 @@ def mutual_reachability_certificate(
     A frontier pair passes when it is classically ``s``-well-separated and
     either the mutual reachability of its representative edge is at most
     ``(1 + ε)`` times the pair's BCCP* lower bound
-    (:func:`bccp_star_lower_bounds`), or the pair is small enough
+    (:func:`mr_bccp_lower_bounds`), or the pair is small enough
     (:data:`~repro.wspd.separation.SMALL_PAIR_CAP`) to refine with one
     exact batched BCCP*.  Requires core-distance annotations (``cd_min``)
     on the tree.
@@ -102,7 +102,7 @@ def mutual_reachability_certificate(
         rep_mr = np.maximum(
             d_rep, np.maximum(core_distances[rep_a], core_distances[rep_b])
         )
-        certified = rep_mr <= (1.0 + epsilon) * bccp_star_lower_bounds(
+        certified = rep_mr <= (1.0 + epsilon) * mr_bccp_lower_bounds(
             flat, a, b, d_rep
         )
         small = sizes[a] * sizes[b] <= SMALL_PAIR_CAP
@@ -116,7 +116,6 @@ def approx_hdbscan_mst(
     min_pts: int = 10,
     *,
     epsilon: float = 0.1,
-    leaf_size: int = 1,
     core_dists: Optional[np.ndarray] = None,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
@@ -141,7 +140,6 @@ def approx_hdbscan_mst(
         return hdbscan_mst_memogfk(
             data,
             min_pts,
-            leaf_size=leaf_size,
             core_dists=core_dists,
             num_threads=num_threads,
             metric=metric,
@@ -164,7 +162,7 @@ def approx_hdbscan_mst(
     timings["core-dist"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=resolved_metric)
+    tree = KDTree(data, metric=resolved_metric)
     tree.annotate_core_distances(core_dists)
     flat = tree.flat
     timings["build-tree"] = time.perf_counter() - start
@@ -195,7 +193,7 @@ def approx_hdbscan_mst(
     distance_evaluations = int(cand_u.size)
     # Recorded-but-uncertified pairs are the small ones; refine them with
     # the exact batched BCCP* (per-pair factor 1).
-    refine = cand_w > (1.0 + epsilon) * bccp_star_lower_bounds(
+    refine = cand_w > (1.0 + epsilon) * mr_bccp_lower_bounds(
         flat, pair_a, pair_b, plain
     )
     num_refined = int(np.count_nonzero(refine))

@@ -2,8 +2,7 @@
 
 This subpackage holds the small, dependency-free building blocks the rest of
 the library is written against: point-set validation, the pluggable metric
-core and its distance kernels, bounding boxes and bounding spheres, and the
-library's exception hierarchy, plus the ambient execution context
+core and its distance kernels, and the library's exception hierarchy, plus the ambient execution context
 (:mod:`repro.core.context`) that carries the backend, memory budget, pool
 policy and tracker a run executes under.
 """
@@ -49,7 +48,6 @@ from repro.core.distance import (
     closest_pair_bruteforce,
     squared_distances_to_point,
 )
-from repro.core.bounding import BoundingBox, BoundingSphere
 
 __all__ = [
     "ReproError",
@@ -87,6 +85,4 @@ __all__ = [
     "cross_distances",
     "closest_pair_bruteforce",
     "squared_distances_to_point",
-    "BoundingBox",
-    "BoundingSphere",
 ]

@@ -173,8 +173,8 @@ class KernelBackend:
         caller re-evaluates their weights exactly in float64.  The NumPy
         implementation is the padded-tensor argmin the engine has always
         used: padded slots repeat the node's first point and are masked to
-        ``+inf``, so the row-major argmin matches the scalar kernel's
-        tie-breaking bit for bit.
+        ``+inf``, so the row-major argmin matches a dense per-pair
+        ``cross_distances`` matrix's tie-breaking bit for bit.
         """
         g = rows.size
         cols_a = np.arange(p_a, dtype=np.int64)
@@ -190,7 +190,7 @@ class KernelBackend:
         # kernels and rounding as its scalar ``cross_distances`` (for
         # Euclidean: einsum row norms, BLAS matmul cross terms, clamp, sqrt),
         # so the minimized values — and therefore the argmin tie-breaking —
-        # agree with the scalar kernel bit-for-bit.  The distance tensor —
+        # agree with the dense per-pair matrix bit-for-bit.  The distance tensor —
         # the largest temporary — lives in the calling thread's reusable
         # workspace, so each pool worker allocates it once across all its
         # class chunks.

@@ -13,7 +13,7 @@ rides the tree.
 kernel that produces an *exact* pair distance: the k-NN fold (and so every
 core distance), :meth:`Metric.exact_edge_weights` (every MST and mutual
 reachability weight), :meth:`Metric.vector_norm` / :meth:`point_distance`
-and the box gaps of :mod:`repro.core.bounding` all derive from it, on
+and the kd-tree's point-to-box and box-to-box gaps all derive from it, on
 C-contiguous rows, so one pair ``(u, v)`` has one float64 value wherever it
 is read.  The expansion kernels (:meth:`cross_distances`,
 :meth:`block_cross_distances`) only *score* candidates; every winner they
@@ -228,7 +228,7 @@ class EuclideanMetric(Metric):
         # Same expansion, summation kernels and rounding as ``cross_distances``
         # (einsum row norms, BLAS matmul cross terms, clamp, sqrt), so the
         # minimized values — and therefore the argmin tie-breaking — agree
-        # with the scalar kernel bit-for-bit.  The cross-term tensor — the
+        # with the dense per-pair matrix bit-for-bit.  The cross-term tensor — the
         # largest temporary — lives in the calling thread's reusable
         # workspace, so each pool worker allocates it once across all its
         # class chunks.

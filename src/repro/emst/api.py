@@ -10,7 +10,8 @@ before any implementation runs, so every method sees identical inputs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import inspect
+from typing import Callable, Collection, Dict, Mapping, Optional
 
 from repro.core.backend import BackendLike
 from repro.core.budget import BudgetLike
@@ -39,6 +40,43 @@ def _shrunk(result: EMSTResult) -> EMSTResult:
     return result
 
 
+def check_method_options(
+    function: Callable,
+    options: Mapping,
+    label: str,
+    *,
+    reserved: Collection[str] = (),
+) -> None:
+    """Reject options the selected implementation does not take.
+
+    ``options`` are the per-method keyword arguments a caller passed through
+    an entry point; ``reserved`` names the parameters the entry point fills
+    in itself.  An unknown option raises :class:`InvalidParameterError`
+    naming the accepted ones, instead of being dropped or surfacing as a
+    ``TypeError`` from deep inside the call.  A function taking ``**kwargs``
+    forwards them and validates them itself.
+    """
+    parameters = inspect.signature(function).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return
+    accepted = sorted(
+        p.name
+        for p in parameters
+        if p.kind in (p.KEYWORD_ONLY, p.POSITIONAL_OR_KEYWORD)
+        and p.name not in reserved
+    )
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise InvalidParameterError(
+            f"{label} does not accept option(s) {unknown}; "
+            f"its options are {accepted}"
+        )
+
+
+#: Parameters :func:`emst` passes to every implementation itself.
+_EMST_RESERVED = ("points", "metric", "checkpoint")
+
+
 def _emst_wspd_approx(points, **kwargs) -> EMSTResult:
     """(1+ε)-approximate EMST (``epsilon=``, ``representative=`` kwargs).
 
@@ -47,6 +85,10 @@ def _emst_wspd_approx(points, **kwargs) -> EMSTResult:
     """
     from repro.approx.emst import emst_wspd_approx
 
+    options = {k: v for k, v in kwargs.items() if k not in _EMST_RESERVED}
+    check_method_options(
+        emst_wspd_approx, options, "EMST method 'wspd-approx'", reserved=_EMST_RESERVED
+    )
     return emst_wspd_approx(points, **kwargs)
 
 
@@ -142,8 +184,10 @@ def emst(
         weight sorts) shard onto via the persistent pool of
         :mod:`repro.parallel.pool`.  Sharding uses fixed chunk boundaries
         and stable reduction order, so the returned tree is byte-identical
-        at any thread count.  ``leaf_size`` and other per-method options
-        pass through unchanged.
+        at any thread count.  Other per-method options (``beta_growth``,
+        ``epsilon``, ...) are checked against the selected implementation's
+        signature: an option it does not take raises
+        ``InvalidParameterError`` naming the ones it does.
 
     Returns
     -------
@@ -156,6 +200,9 @@ def emst(
         raise InvalidParameterError(
             f"unknown EMST method {method!r}; choose from {sorted(EMST_METHODS)}"
         ) from None
+    check_method_options(
+        implementation, kwargs, f"EMST method {method!r}", reserved=_EMST_RESERVED
+    )
     # One scope covers the whole pipeline, input coercion included: the
     # streamed finiteness check and any spilled buffers run under the budget,
     # every tree the implementation builds snapshots the backend, and every

@@ -99,7 +99,6 @@ def sharded_min(
 def emst_gfk(
     points,
     *,
-    leaf_size: int = 1,
     beta_growth: str = "double",
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
@@ -110,8 +109,6 @@ def emst_gfk(
     ----------
     points:
         Input point array of shape ``(n, d)``.
-    leaf_size:
-        kd-tree leaf size for the WSPD (the paper uses 1).
     beta_growth:
         ``"double"`` for the paper's exponentially increasing batch threshold
         (needed for the polylogarithmic round bound) or ``"increment"`` for
@@ -137,7 +134,7 @@ def emst_gfk(
 
     timings = {}
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    tree = KDTree(data, metric=metric)
     timings["build-tree"] = time.perf_counter() - start
     flat = tree.flat
 

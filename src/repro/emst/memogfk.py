@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.errors import InvalidParameterError
 from repro.core.metric import MetricLike
 from repro.core.points import as_points
 from repro.emst.gfk import pairs_fully_connected
@@ -357,10 +358,10 @@ def memogfk_mst(
         round).
     """
     if separation not in ("geometric", "hdbscan"):
-        raise ValueError("separation must be 'geometric' or 'hdbscan'")
+        raise InvalidParameterError("separation must be 'geometric' or 'hdbscan'")
     flat = tree.flat
     if tree.leaf_size != 1 and int(flat.node_sizes[flat.leaf_ids()].max()) > 1:
-        raise ValueError(
+        raise InvalidParameterError(
             "MemoGFK requires a kd-tree built with leaf_size=1 (pairs inside a "
             "multi-point leaf would never be enumerated)"
         )
@@ -478,7 +479,6 @@ def memogfk_mst(
 def emst_memogfk(
     points,
     *,
-    leaf_size: int = 1,
     s: float = 2.0,
     initial_beta: int = 2,
     num_threads: Optional[int] = None,
@@ -502,7 +502,7 @@ def emst_memogfk(
 
     timings = {}
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    tree = KDTree(data, metric=metric)
     timings["build-tree"] = time.perf_counter() - start
 
     start = time.perf_counter()

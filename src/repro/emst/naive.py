@@ -26,7 +26,6 @@ from repro.wspd.wspd import compute_wspd_ids
 def emst_naive(
     points,
     *,
-    leaf_size: int = 1,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
 ) -> EMSTResult:
@@ -36,8 +35,6 @@ def emst_naive(
     ----------
     points:
         Input point array of shape ``(n, d)``.
-    leaf_size:
-        kd-tree leaf size used for the WSPD (the paper uses 1).
     num_threads:
         Accepted for API compatibility.  All BCCPs are evaluated by one
         size-class-batched array kernel call, which outruns the former
@@ -52,7 +49,7 @@ def emst_naive(
 
     timings = {}
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    tree = KDTree(data, metric=metric)
     timings["build-tree"] = time.perf_counter() - start
 
     start = time.perf_counter()

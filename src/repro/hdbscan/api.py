@@ -27,10 +27,22 @@ from repro.hdbscan.memogfk import hdbscan_mst_memogfk
 from repro.hdbscan.optics_approx import optics_approx_mst
 from repro.hdbscan.result import HDBSCANResult
 from repro.dendrogram.structure import Dendrogram
+from repro.emst.api import check_method_options
 from repro.emst.memogfk import ROUND_PHASE
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
 from repro.resilience.checkpoint import CheckpointManager, build_fingerprint
+
+
+#: Parameters :func:`hdbscan` passes to every MST implementation itself.
+_HDBSCAN_RESERVED = (
+    "points",
+    "min_pts",
+    "core_dists",
+    "num_threads",
+    "metric",
+    "checkpoint",
+)
 
 
 def _hdbscan_mst_wspd_approx(points, min_pts: int = 10, **kwargs):
@@ -41,6 +53,13 @@ def _hdbscan_mst_wspd_approx(points, min_pts: int = 10, **kwargs):
     """
     from repro.approx.hdbscan import approx_hdbscan_mst
 
+    options = {k: v for k, v in kwargs.items() if k not in _HDBSCAN_RESERVED}
+    check_method_options(
+        approx_hdbscan_mst,
+        options,
+        "HDBSCAN* method 'wspd-approx'",
+        reserved=_HDBSCAN_RESERVED,
+    )
     return approx_hdbscan_mst(points, min_pts, **kwargs)
 
 
@@ -143,7 +162,10 @@ def hdbscan(
         fails with ``WorkerFailedError`` (``None``: no time limit; worker
         *deaths* are still detected and retried immediately either way).
     method_kwargs:
-        Additional arguments forwarded to the MST implementation.
+        Per-method options forwarded to the MST implementation (``rho`` for
+        ``"optics-approx"``, ``epsilon`` for ``"wspd-approx"``).  An option
+        the selected implementation does not take raises
+        ``InvalidParameterError`` naming the ones it does.
 
     Returns
     -------
@@ -170,6 +192,12 @@ def hdbscan(
                 f"unknown HDBSCAN* method {method!r}; "
                 f"choose from {sorted(HDBSCAN_METHODS)}"
             ) from None
+        check_method_options(
+            mst_function,
+            method_kwargs,
+            f"HDBSCAN* method {method!r}",
+            reserved=_HDBSCAN_RESERVED,
+        )
 
         checkpoint = None
         if checkpoint_dir is not None:

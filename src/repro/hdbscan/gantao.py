@@ -38,7 +38,6 @@ def hdbscan_mst_gantao(
     points,
     min_pts: int = 10,
     *,
-    leaf_size: int = 1,
     core_dists: Optional[np.ndarray] = None,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
@@ -51,8 +50,6 @@ def hdbscan_mst_gantao(
         ``(n, d)`` array-like of points.
     min_pts:
         HDBSCAN* ``minPts`` parameter.
-    leaf_size:
-        kd-tree leaf size for the WSPD.
     core_dists:
         Optional precomputed core distances (skips the k-NN step).
     num_threads:
@@ -78,7 +75,7 @@ def hdbscan_mst_gantao(
     timings["core-dist"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    tree = KDTree(data, metric=metric)
     tree.annotate_core_distances(core_dists)
     timings["build-tree"] = time.perf_counter() - start
 

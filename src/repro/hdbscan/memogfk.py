@@ -31,7 +31,6 @@ def hdbscan_mst_memogfk(
     points,
     min_pts: int = 10,
     *,
-    leaf_size: int = 1,
     core_dists: Optional[np.ndarray] = None,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
@@ -59,7 +58,7 @@ def hdbscan_mst_memogfk(
     timings["core-dist"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=metric)
+    tree = KDTree(data, metric=metric)
     tree.annotate_core_distances(core_dists)
     timings["build-tree"] = time.perf_counter() - start
 

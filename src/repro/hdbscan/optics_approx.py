@@ -5,76 +5,88 @@ constant ``s = sqrt(8 / rho)``: the larger the required precision (smaller
 ``rho``), the larger the separation constant and the more well-separated
 pairs are generated.  For every pair ``(A, B)`` a *representative point* is
 chosen on each side (the paper's implementation simply picks an arbitrary
-point, as does this one — deterministically, the first point of the node), and
-edges are added according to the four cardinality cases of Appendix C, with
-weight::
+point, as does this one — deterministically, the first point of the node's
+``perm`` slice), and edges are added according to the four cardinality cases
+of Appendix C, with weight::
 
     w(u, v) = max(cd(u), cd(v), d(u, v) / (1 + rho))
 
 The MST of the resulting multigraph is an MST of a graph whose weights
 approximate the mutual reachability distances within a factor of ``1 + rho``.
+
+The edges of all pairs are generated at once from the decomposition's
+node-id arrays: a node with fewer than ``minPts`` points contributes all of
+its members, a larger one only its representative, so each pair yields a
+``members(A) × members(B)`` block in row-major order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.core.metric import Metric, MetricLike, resolve_metric
+from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.emst.result import EMSTResult
 from repro.hdbscan.core_distance import core_distances as compute_core_distances
 from repro.mst.edges import EdgeList
 from repro.mst.kruskal import kruskal
 from repro.parallel.scheduler import current_tracker
-from repro.spatial.kdtree import KDNode, KDTree
-from repro.wspd.wspd import iterate_wspd
+from repro.spatial.flat import FlatKDTree
+from repro.spatial.kdtree import KDTree
+from repro.wspd.wspd import compute_wspd_ids
+
+#: Edges generated per vectorized block, bounding the gathered coordinate
+#: rows of one block.
+_EDGE_CHUNK = 1 << 18
 
 
-def _pair_edges(
-    tree: KDTree,
-    node_a: KDNode,
-    node_b: KDNode,
+def _appendix_c_edges(
+    flat: FlatKDTree,
+    a_ids: np.ndarray,
+    b_ids: np.ndarray,
     core_dists: np.ndarray,
     min_pts: int,
     rho: float,
-    metric: Metric,
-) -> List[Tuple[int, int, float]]:
-    """Edges generated for one well-separated pair (the four cases of App. C)."""
-    points = tree.points
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges of every well-separated pair (the four cases of App. C).
+
+    Pair order is kept, and each pair's edges are its
+    ``members(A) × members(B)`` block in row-major order, where a node with
+    at least ``min_pts`` points is represented by its first member alone.
+    """
+    sizes = flat.node_sizes
+    members_a = np.where(sizes[a_ids] < min_pts, sizes[a_ids], 1)
+    members_b = np.where(sizes[b_ids] < min_pts, sizes[b_ids], 1)
+    per_pair = members_a * members_b
+    ends = np.cumsum(per_pair)
+    total = int(ends[-1]) if ends.size else 0
+    start_a = flat.node_start[a_ids]
+    start_b = flat.node_start[b_ids]
+    perm = flat.perm
+    points = flat.points
+    metric = flat.metric
     scale = 1.0 + rho
 
-    def weight(u: int, v: int) -> float:
-        return max(
-            core_dists[u],
-            core_dists[v],
-            metric.point_distance(points[u], points[v]) / scale,
-        )
-
-    a_indices = node_a.indices
-    b_indices = node_b.indices
-    rep_a = int(a_indices[0])
-    rep_b = int(b_indices[0])
-    edges: List[Tuple[int, int, float]] = []
-    small_a = a_indices.shape[0] < min_pts
-    small_b = b_indices.shape[0] < min_pts
-    if small_a and small_b:
-        for u in a_indices:
-            for v in b_indices:
-                edges.append((int(u), int(v), weight(int(u), int(v))))
-    elif not small_a and small_b:
-        for v in b_indices:
-            edges.append((rep_a, int(v), weight(rep_a, int(v))))
-    elif small_a and not small_b:
-        for u in a_indices:
-            edges.append((int(u), rep_b, weight(int(u), rep_b)))
-    else:
-        edges.append((rep_a, rep_b, weight(rep_a, rep_b)))
-    return edges
+    u = np.empty(total, dtype=np.int64)
+    v = np.empty(total, dtype=np.int64)
+    w = np.empty(total, dtype=np.float64)
+    for lo in range(0, total, _EDGE_CHUNK):
+        hi = min(lo + _EDGE_CHUNK, total)
+        edge = np.arange(lo, hi, dtype=np.int64)
+        pair = np.searchsorted(ends, edge, side="right")
+        row, col = np.divmod(edge - (ends[pair] - per_pair[pair]), members_b[pair])
+        eu = perm[start_a[pair] + row]
+        ev = perm[start_b[pair] + col]
+        u[lo:hi] = eu
+        v[lo:hi] = ev
+        distance = metric.diff_norms(points[eu] - points[ev]) / scale
+        w[lo:hi] = np.maximum(np.maximum(core_dists[eu], core_dists[ev]), distance)
+    return u, v, w
 
 
 def optics_approx_mst(
@@ -82,7 +94,6 @@ def optics_approx_mst(
     min_pts: int = 10,
     *,
     rho: float = 0.125,
-    leaf_size: int = 1,
     core_dists: Optional[np.ndarray] = None,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
@@ -99,12 +110,10 @@ def optics_approx_mst(
         Approximation parameter (> 0); the separation constant is
         ``sqrt(8 / rho)`` (``rho = 0.125`` gives ``s = 8``, the value used in
         the paper's Figure 10 experiments).
-    leaf_size:
-        kd-tree leaf size for the WSPD.
     core_dists:
         Optional precomputed core distances.
     num_threads:
-        Thread count for the k-NN batches.
+        Thread count for the k-NN batches and the WSPD separation tests.
     metric:
         Distance metric (name, Metric instance, or ``None`` for Euclidean);
         the ``1 + rho`` approximation argument only uses the triangle
@@ -124,34 +133,31 @@ def optics_approx_mst(
         core_dists = compute_core_distances(
             data, min(min_pts, n), num_threads=num_threads, metric=resolved_metric
         )
+    core_dists = np.asarray(core_dists, dtype=np.float64)
     timings["core-dist"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tree = KDTree(data, leaf_size=leaf_size, metric=resolved_metric)
+    tree = KDTree(data, metric=resolved_metric)
     timings["build-tree"] = time.perf_counter() - start
 
     separation_constant = math.sqrt(8.0 / rho)
-    tracker = current_tracker()
 
     start = time.perf_counter()
-    edges: List[Tuple[int, int, float]] = []
-    num_pairs = 0
-    for pair in iterate_wspd(tree, separation="geometric", s=separation_constant):
-        num_pairs += 1
-        pair_edges = _pair_edges(
-            tree, pair.node_a, pair.node_b, core_dists, min_pts, rho, resolved_metric
-        )
-        tracker.add(len(pair_edges), 1.0, phase="wspd")
-        edges.extend(pair_edges)
+    a_ids, b_ids = compute_wspd_ids(
+        tree, separation="geometric", s=separation_constant, num_threads=num_threads
+    )
+    u, v, w = _appendix_c_edges(tree.flat, a_ids, b_ids, core_dists, min_pts, rho)
+    # Every pair's edges are generated independently of the others.
+    current_tracker().add(float(u.size), 1.0, phase="wspd")
     timings["wspd"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tree_edges = kruskal(edges, n)
+    tree_edges = kruskal((u, v, w), n, num_threads=num_threads)
     timings["kruskal"] = time.perf_counter() - start
 
     stats = {
-        "wspd_pairs": num_pairs,
-        "graph_edges": len(edges),
+        "wspd_pairs": int(a_ids.size),
+        "graph_edges": int(u.size),
         "rho": rho,
         "separation_constant": separation_constant,
         "min_pts": min_pts,

@@ -6,20 +6,19 @@ minimum and maximum core distances).  The tree is stored as the array-native
 :class:`FlatKDTree` — a permutation of point indices plus parallel per-node
 arrays — which WSPD construction, the pruned traversals of MemoGFK and the
 batched k-NN / core-distance queries all drive with vectorized frontier
-operations.  :class:`KDTree` / :class:`KDNode` are the node-view
-compatibility layer over the same storage; :mod:`repro.spatial.legacy` keeps
-the original object tree as a benchmark baseline.
+operations.  A node is named by its id in those arrays; :class:`KDTree` is
+the handle that carries a flat tree together with its point set, metric,
+backend and attached core distances.
 """
 
 from repro.spatial.flat import FlatKDTree
-from repro.spatial.kdtree import KDTree, KDNode
+from repro.spatial.kdtree import KDTree
 from repro.spatial.knn import knn, knn_bruteforce, knn_distances
 from repro.spatial.delaunay import delaunay_edges
 
 __all__ = [
     "FlatKDTree",
     "KDTree",
-    "KDNode",
     "knn",
     "knn_bruteforce",
     "knn_distances",

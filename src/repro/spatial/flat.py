@@ -1,9 +1,8 @@
 """Flat, structure-of-arrays kd-tree: the array-native spatial engine.
 
 The paper's algorithms all bottom out in traversals of a spatial-median
-kd-tree (Section 2.3).  The original reproduction stored that tree as linked
-``KDNode`` Python objects, which makes every hot path pay per-node Python
-dispatch.  :class:`FlatKDTree` stores the *same* tree as a handful of parallel
+kd-tree (Section 2.3).  Storing that tree as linked per-node Python
+objects would make every hot path pay per-node Python dispatch.  :class:`FlatKDTree` stores the *same* tree as a handful of parallel
 NumPy arrays instead — the layout scikit-learn's neighbor trees use — so whole
 frontiers of nodes can be tested, pruned and expanded with single array
 operations:
@@ -21,14 +20,13 @@ Construction is iterative and level-synchronous: every level of the tree is
 split with a constant number of vectorized passes (segmented bounding boxes
 via ``ufunc.reduceat``, segmented stable partitions via ``np.lexsort``), so
 the build itself is array-native too.  The split rule is exactly the one the
-paper (and the previous object-based implementation) uses: split the widest
-dimension of the node's bounding box at its midpoint, falling back to an
-object median when the spatial median is degenerate and to a positional halve
-when all points coincide.
+paper uses: split the widest dimension of the node's bounding box at its
+midpoint, falling back to an object median when the spatial median is
+degenerate and to a positional halve when all points coincide.
 
 Because the whole structure is a few flat arrays it is cheap to pickle and to
-share across processes, which the node-object tree was not — this is the
-storage layer that future sharding/multiprocessing builds on.
+share across processes, which a tree of node objects would not be — this is
+the storage layer that future sharding/multiprocessing builds on.
 """
 
 from __future__ import annotations

@@ -5,16 +5,12 @@ spatial-median kd-tree), the two notions of well-separation used in the paper
 (the standard Callahan–Kosaraju geometric separation, and the new
 HDBSCAN*-specific disjunction of geometric separation and mutual
 unreachability), and exact BCCP / BCCP* computations with the bounding-sphere
-distance bounds that MemoGFK's pruned traversals rely on.
+distance bounds that MemoGFK's pruned traversals rely on.  Every function
+names kd-tree nodes by their ids in the :class:`~repro.spatial.flat.FlatKDTree`
+arrays and works on whole node-pair frontiers at once.
 """
 
 from repro.wspd.separation import (
-    node_distance,
-    node_max_distance,
-    well_separated,
-    geometrically_separated,
-    mutually_unreachable,
-    hdbscan_well_separated,
     node_distances,
     node_max_distances,
     well_separated_mask,
@@ -22,34 +18,18 @@ from repro.wspd.separation import (
     mutually_unreachable_mask,
     hdbscan_well_separated_mask,
 )
-from repro.wspd.bccp import BCCPResult, bccp, bccp_star, bccp_batch, BCCPCache
-from repro.wspd.wspd import (
-    WellSeparatedPair,
-    compute_wspd,
-    compute_wspd_ids,
-    count_wspd_pairs,
-)
+from repro.wspd.bccp import bccp_batch, BCCPCache
+from repro.wspd.wspd import compute_wspd_ids, count_wspd_pairs
 
 __all__ = [
-    "node_distance",
-    "node_max_distance",
-    "well_separated",
-    "geometrically_separated",
-    "mutually_unreachable",
-    "hdbscan_well_separated",
     "node_distances",
     "node_max_distances",
     "well_separated_mask",
     "geometrically_separated_mask",
     "mutually_unreachable_mask",
     "hdbscan_well_separated_mask",
-    "BCCPResult",
-    "bccp",
-    "bccp_star",
     "bccp_batch",
     "BCCPCache",
-    "WellSeparatedPair",
-    "compute_wspd",
     "compute_wspd_ids",
     "count_wspd_pairs",
 ]

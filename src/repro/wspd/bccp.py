@@ -8,25 +8,18 @@ evaluating all ``|A| * |B|`` candidate distances, which is how the paper's
 implementation computes them as well (the theoretical subquadratic BCCP is
 impractical and unimplemented there too).
 
-Two kernel shapes are provided:
-
-* the scalar kernels :func:`bccp` / :func:`bccp_star` evaluate one node pair
-  with one ``(|A|, |B|)`` distance matrix — the reference used by baselines
-  and tests;
-* the batched kernel :func:`bccp_batch` evaluates *arrays* of node pairs
-  against the :class:`~repro.spatial.flat.FlatKDTree` SoA layout: pairs are
-  grouped by padded size class and each class is resolved by the tree's
-  :class:`~repro.core.backend.KernelBackend` — the numpy backend with one 3-d
-  ``einsum`` + one masked ``argmin``, the numba backend with a compiled
-  per-pair scan that never materializes the distance tensor — with no
-  per-pair Python dispatch either way.  This is what the GFK / MemoGFK round
-  drivers submit whole frontiers to.  Under a lowered (float32) backend the
-  scan runs on the tree's ``scoring_points``; the winning pairs' weights are
-  always re-evaluated in exact float64.
-
-Both shapes share :func:`repro.core.distance.exact_edge_weights` for the
-winning pair's weight, so the cancellation-prone matrix expansion never leaks
-into an MST edge weight and the two paths agree bit-for-bit.
+The kernel, :func:`bccp_batch`, evaluates *arrays* of node pairs against the
+:class:`~repro.spatial.flat.FlatKDTree` SoA layout: pairs are grouped by
+padded size class and each class is resolved by the tree's
+:class:`~repro.core.backend.KernelBackend` — the numpy backend with one 3-d
+``einsum`` + one masked ``argmin``, the numba backend with a compiled
+per-pair scan that never materializes the distance tensor — with no per-pair
+Python dispatch either way.  This is what the GFK / MemoGFK round drivers
+submit whole frontiers to.  Under a lowered (float32) backend the scan runs
+on the tree's ``scoring_points``.  The winning pairs' weights are always
+re-evaluated in exact float64 by :meth:`Metric.exact_edge_weights
+<repro.core.metric.Metric.exact_edge_weights>`, so the cancellation-prone
+matrix expansion never leaks into an MST edge weight.
 
 Results are memoized in a :class:`BCCPCache` keyed by unordered node-id
 pairs — matching the paper's remark that "we cache the BCCP results of pairs
@@ -34,17 +27,15 @@ to avoid repeated computations" — stored as sorted key/result *arrays* so a
 whole round's frontier is partitioned into hits and misses with one
 ``searchsorted`` instead of per-pair dict probes.
 
-Every kernel takes its distance from the tree's pluggable metric
-(:attr:`FlatKDTree.metric`): the scalar kernels use the metric's dense
-``cross_distances``, the batched kernel its block tensor, and the exact
-re-evaluation its difference-and-norm pass.  A cache is bound to one
-``(tree, metric)`` pair — the metric is part of its identity, so results
-computed under different metrics can never mix.
+The kernel takes its distance from the tree's pluggable metric
+(:attr:`FlatKDTree.metric`): candidates are scored with its block tensor and
+the winners re-evaluated with its difference-and-norm pass.  A cache is bound
+to one ``(tree, metric)`` pair — the metric is part of its identity, so
+results computed under different metrics can never mix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -53,7 +44,7 @@ from repro.core.context import current_context
 from repro.parallel.pool import current_workspace, parallel_map, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
-from repro.spatial.kdtree import KDNode, KDTree
+from repro.spatial.kdtree import KDTree
 
 #: Soft cap on the number of padded distance entries one batched class chunk
 #: may materialize (8M float64 entries = 64 MB) when no memory budget is
@@ -64,65 +55,6 @@ _BATCH_CHUNK_ELEMENTS = 8_000_000
 #: entries are evaluated individually: one kernel dispatch is already
 #: amortized and padding them against a size class would only waste work.
 _LARGE_PAIR_ELEMENTS = 16_384
-
-
-@dataclass(frozen=True)
-class BCCPResult:
-    """Closest pair between two nodes.
-
-    ``point_a`` / ``point_b`` are indices into the original point array;
-    ``distance`` is the minimized quantity (Euclidean for BCCP, mutual
-    reachability for BCCP*).
-    """
-
-    point_a: int
-    point_b: int
-    distance: float
-
-    def as_edge(self) -> Tuple[int, int, float]:
-        return self.point_a, self.point_b, self.distance
-
-
-def bccp(tree: KDTree, a: KDNode, b: KDNode) -> BCCPResult:
-    """Exact bichromatic closest pair between nodes ``a`` and ``b``.
-
-    The minimized distance is taken under the tree's metric.
-    """
-    points_a = tree.points[a.indices]
-    points_b = tree.points[b.indices]
-    current_tracker().add(a.size * b.size, 1.0, phase="bccp")
-    distances = tree.metric.cross_distances(points_a, points_b)
-    flat = int(np.argmin(distances))
-    i, j = divmod(flat, distances.shape[1])
-    point_a = int(a.indices[i])
-    point_b = int(b.indices[j])
-    exact = float(tree.metric.exact_edge_weights(tree.points, [point_a], [point_b])[0])
-    return BCCPResult(point_a=point_a, point_b=point_b, distance=exact)
-
-
-def bccp_star(tree: KDTree, a: KDNode, b: KDNode, core_distances: np.ndarray) -> BCCPResult:
-    """Exact BCCP under the mutual reachability distance.
-
-    ``core_distances[i]`` is the core distance of point ``i``; the minimized
-    quantity is ``max(cd(u), cd(v), d(u, v))``.
-    """
-    points_a = tree.points[a.indices]
-    points_b = tree.points[b.indices]
-    current_tracker().add(a.size * b.size, 1.0, phase="bccp")
-    distances = tree.metric.cross_distances(points_a, points_b)
-    cd_a = core_distances[a.indices]
-    cd_b = core_distances[b.indices]
-    mutual = np.maximum(distances, np.maximum(cd_a[:, None], cd_b[None, :]))
-    flat = int(np.argmin(mutual))
-    i, j = divmod(flat, mutual.shape[1])
-    point_a = int(a.indices[i])
-    point_b = int(b.indices[j])
-    exact = float(
-        tree.metric.exact_edge_weights(
-            tree.points, [point_a], [point_b], core_distances
-        )[0]
-    )
-    return BCCPResult(point_a=point_a, point_b=point_b, distance=exact)
 
 
 def bccp_batch(
@@ -137,12 +69,11 @@ def bccp_batch(
 
     Pairs are grouped by padded size class ``(pad(|A|), pad(|B|))`` (padding
     to the next power of two) and every class is evaluated with one batched
-    distance tensor built from the same kernels as the scalar path (einsum
-    row norms, batched BLAS matmul cross terms, clamp, sqrt); padded slots
-    are masked to ``+inf`` so the row-major ``argmin`` selects exactly the
-    entry the scalar kernel would, including tie-breaking at equal distances.
-    The winning pairs are re-evaluated with the shared cancellation-safe
-    exact kernel.
+    distance tensor (einsum row norms, batched BLAS matmul cross terms,
+    clamp, sqrt); padded slots are masked to ``+inf`` so the row-major
+    ``argmin`` over each pair's ``|A| x |B|`` block picks the first minimal
+    entry, as a dense per-pair matrix would.  The winning pairs are
+    re-evaluated with the shared cancellation-safe exact kernel.
 
     With ``num_threads > 1`` the size-class chunks (and the individually
     evaluated large pairs) are dispatched as independent tasks on the
@@ -320,8 +251,7 @@ class BCCPCache:
         Returns ``(point_a, point_b, distance)`` arrays aligned with the input
         order.  Cached pairs are served from the sorted store; the remaining
         unique pairs are evaluated with one :func:`bccp_batch` call (oriented
-        by their first occurrence, like repeated scalar calls would be) and
-        merged into the store.
+        by their first occurrence) and merged into the store.
         """
         a_ids = np.asarray(a_ids, dtype=np.int64)
         b_ids = np.asarray(b_ids, dtype=np.int64)
@@ -432,14 +362,6 @@ class BCCPCache:
         budget = current_context().memory_budget
         if budget.bounded:
             budget.release("bccp_cache")
-
-    def get(self, a: KDNode, b: KDNode) -> BCCPResult:
-        """BCCP (or BCCP*, if core distances were supplied) of one node pair."""
-        pa, pb, w = self.get_batch(
-            np.array([a.node_id], dtype=np.int64),
-            np.array([b.node_id], dtype=np.int64),
-        )
-        return BCCPResult(point_a=int(pa[0]), point_b=int(pb[0]), distance=float(w[0]))
 
     def __len__(self) -> int:
         return int(self._keys.size)

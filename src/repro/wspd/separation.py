@@ -1,28 +1,26 @@
-"""Well-separation predicates.
+"""Well-separation predicates over node-id frontiers of a flat kd-tree.
 
 Three predicates appear in the paper:
 
-* ``well_separated(A, B, s)`` — the classical Callahan–Kosaraju definition:
-  both sets fit in spheres of radius ``r`` and the gap between the spheres is
-  at least ``s * r`` (the paper fixes ``s = 2``).
-* ``geometrically_separated(A, B)`` — ``d(A, B) >= max(A_diam, B_diam)``,
-  which for the sphere-based bounds used here coincides with ``s = 2``
-  separation; Section 3.2.2 phrases the HDBSCAN* condition this way.
-* ``mutually_unreachable(A, B)`` —
+* classical well-separation with constant ``s`` — the Callahan–Kosaraju
+  definition: both sets fit in spheres of radius ``r`` and the gap between
+  the spheres is at least ``s * r`` (the paper fixes ``s = 2``);
+* geometric separation — ``d(A, B) >= max(A_diam, B_diam)``, which for the
+  sphere-based bounds used here coincides with ``s = 2`` separation;
+  Section 3.2.2 phrases the HDBSCAN* condition this way;
+* mutual unreachability —
   ``max(d(A, B), cd_min(A), cd_min(B)) >=
   max(A_diam, B_diam, cd_max(A), cd_max(B))``.
 
-The HDBSCAN* notion of well-separation (``hdbscan_well_separated``) is the
-disjunction of the last two; because the WSPD recursion stops as soon as a
-pair is well-separated, the weaker (disjunctive) predicate terminates earlier
-and produces fewer pairs — the source of the paper's space savings.
+The HDBSCAN* notion of well-separation is the disjunction of the last two;
+because the WSPD recursion stops as soon as a pair is well-separated, the
+weaker (disjunctive) predicate terminates earlier and produces fewer pairs —
+the source of the paper's space savings.
 
-Every predicate exists in two forms: a scalar form over :class:`KDNode` views
-(used by pair-at-a-time callers and the tests) and a ``*_mask`` form over
-parallel arrays of node ids of a :class:`~repro.spatial.flat.FlatKDTree`,
-which evaluates the predicate for a whole traversal frontier with a handful
-of array operations.  Both forms apply the identical floating-point formulas
-to the identical stored centers/radii, so they agree bit-for-bit.
+Each predicate is a ``*_mask`` over parallel arrays of node ids of a
+:class:`~repro.spatial.flat.FlatKDTree`, evaluating a whole traversal
+frontier with a handful of array operations on the stored centers, radii and
+core-distance extrema.
 
 Every predicate is metric-general: the node radii are stored under the
 tree's metric and the center gaps are computed with the same metric's norm,
@@ -38,54 +36,7 @@ import numpy as np
 
 from repro.core.errors import NotComputedError
 from repro.spatial.flat import FlatKDTree
-from repro.spatial.kdtree import KDNode
 
-
-def node_distance(a: KDNode, b: KDNode) -> float:
-    """``d(A, B)``: minimum distance between the nodes' bounding spheres."""
-    return a.sphere.distance(b.sphere)
-
-
-def node_max_distance(a: KDNode, b: KDNode) -> float:
-    """``d_max(A, B)``: maximum distance between points of the bounding spheres."""
-    return a.sphere.max_distance(b.sphere)
-
-
-def well_separated(a: KDNode, b: KDNode, s: float = 2.0) -> bool:
-    """Classical well-separation with separation constant ``s``."""
-    return a.sphere.well_separated_from(b.sphere, s)
-
-
-def geometrically_separated(a: KDNode, b: KDNode) -> bool:
-    """``d(A, B) >= max(A_diam, B_diam)`` (equivalent to ``s = 2``)."""
-    return node_distance(a, b) >= max(a.diameter, b.diameter)
-
-
-def mutually_unreachable(a: KDNode, b: KDNode) -> bool:
-    """Mutual-unreachability condition of Section 3.2.2.
-
-    Requires the kd-tree to have been annotated with core distances
-    (:meth:`repro.spatial.kdtree.KDTree.annotate_core_distances`).
-    """
-    if a.cd_min is None or b.cd_min is None:
-        raise NotComputedError(
-            "mutually_unreachable requires core-distance annotations on the tree"
-        )
-    lhs = max(node_distance(a, b), a.cd_min, b.cd_min)
-    rhs = max(a.diameter, b.diameter, a.cd_max, b.cd_max)
-    return lhs >= rhs
-
-
-def hdbscan_well_separated(a: KDNode, b: KDNode) -> bool:
-    """The paper's new notion: geometrically separated OR mutually unreachable."""
-    if geometrically_separated(a, b):
-        return True
-    return mutually_unreachable(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Array forms over flat-tree node-id frontiers
-# ---------------------------------------------------------------------------
 
 def center_gaps(flat: FlatKDTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between the bounding-sphere centers of node-id arrays.

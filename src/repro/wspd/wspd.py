@@ -22,8 +22,7 @@ Two separation criteria are supported via ``separation``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -33,25 +32,12 @@ from repro.parallel import pool as _pool
 from repro.parallel.pool import map_shards, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
-from repro.spatial.kdtree import KDNode, KDTree
+from repro.spatial.kdtree import KDTree
 from repro.wspd.separation import (
     epsilon_certified_mask,
     hdbscan_well_separated_mask,
     well_separated_mask,
 )
-
-
-@dataclass(frozen=True)
-class WellSeparatedPair:
-    """A recorded pair ``(A, B)`` of kd-tree nodes."""
-
-    node_a: KDNode
-    node_b: KDNode
-
-    @property
-    def cardinality(self) -> int:
-        """``|A| + |B|``, the quantity GFK batches pairs by."""
-        return self.node_a.size + self.node_b.size
 
 
 PairMask = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -213,8 +199,8 @@ def iterate_wspd_ids(
 
     Each yielded ``(a_ids, b_ids)`` batch holds the pairs recorded during one
     frontier round; concatenating all batches gives the full decomposition.
-    This is the array-native core that :func:`iterate_wspd`,
-    :func:`compute_wspd_ids` and the GFK driver all share.  ``num_threads``
+    This is the array-native core that :func:`compute_wspd_ids`,
+    :func:`count_wspd_pairs` and the GFK driver all share.  ``num_threads``
     shards each round's separation test over the worker pool; the yielded
     batches are byte-identical at any setting.  ``epsilon`` parameterizes the
     ``"epsilon-certified"`` separation; ``predicate`` overrides the named
@@ -255,24 +241,6 @@ def iterate_wspd_ids(
             yield dup_a, dup_b
 
 
-def iterate_wspd(
-    tree: KDTree,
-    *,
-    separation: str = "geometric",
-    s: float = 2.0,
-) -> Iterator[WellSeparatedPair]:
-    """Yield the WSPD pairs of ``tree`` one at a time (Algorithm 1).
-
-    The generator form lets MemoGFK-style callers consume pairs without ever
-    materializing the full decomposition; internally pairs are produced a
-    vectorized frontier round at a time.
-    """
-    _check_wspd_tree(tree)
-    for a_ids, b_ids in iterate_wspd_ids(tree.flat, separation=separation, s=s):
-        for a_id, b_id in zip(a_ids.tolist(), b_ids.tolist()):
-            yield WellSeparatedPair(tree.node(a_id), tree.node(b_id))
-
-
 def compute_wspd_ids(
     tree: KDTree,
     *,
@@ -303,16 +271,6 @@ def compute_wspd_ids(
     )
 
 
-def compute_wspd(
-    tree: KDTree,
-    *,
-    separation: str = "geometric",
-    s: float = 2.0,
-) -> List[WellSeparatedPair]:
-    """Materialize the full list of WSPD pairs (what the naive baseline needs)."""
-    return list(iterate_wspd(tree, separation=separation, s=s))
-
-
 def count_wspd_pairs(
     tree: KDTree,
     *,
@@ -327,23 +285,22 @@ def count_wspd_pairs(
     )
 
 
-def validate_wspd_realization(tree: KDTree, pairs: List[WellSeparatedPair]) -> bool:
-    """Check the realization property: every unordered point pair is covered
-    by exactly one well-separated pair.
+def validate_wspd_realization(
+    tree: KDTree, a_ids: np.ndarray, b_ids: np.ndarray
+) -> bool:
+    """Check the realization property of a decomposition given as node ids:
+    every unordered point pair is covered by exactly one recorded pair.
 
     This is an O(sum |A||B|) check used by the test suite on small inputs; it
     returns True when properties (2)–(4) of the paper's Section 2.3 hold.
     """
     n = tree.size
-    covered = {}
-    for pair in pairs:
-        for i in pair.node_a.indices:
-            for j in pair.node_b.indices:
-                if i == j:
+    covered = set()
+    for a, b in zip(np.asarray(a_ids).tolist(), np.asarray(b_ids).tolist()):
+        for i in tree.flat.point_indices(a).tolist():
+            for j in tree.flat.point_indices(b).tolist():
+                key = (min(i, j), max(i, j))
+                if i == j or key in covered:
                     return False
-                key = (min(int(i), int(j)), max(int(i), int(j)))
-                if key in covered:
-                    return False
-                covered[key] = True
-    expected = n * (n - 1) // 2
-    return len(covered) == expected
+                covered.add(key)
+    return len(covered) == n * (n - 1) // 2

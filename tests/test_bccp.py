@@ -1,4 +1,8 @@
-"""Tests for BCCP / BCCP*, the batched kernel, and the BCCP cache."""
+"""Tests for the batched BCCP / BCCP* kernel and the BCCP cache.
+
+Nodes are named by their flat-tree ids; the reference is brute force over
+the two nodes' point indices, inside the test.
+"""
 
 import numpy as np
 import pytest
@@ -6,79 +10,94 @@ import pytest
 from repro.core.distance import closest_pair_bruteforce, cross_distances, euclidean
 from repro.hdbscan import core_distances
 from repro.spatial import KDTree
-from repro.wspd import BCCPCache, bccp, bccp_batch, bccp_star
+from repro.wspd import BCCPCache, bccp_batch
 from repro.wspd.wspd import compute_wspd_ids
 
 
+def brute_bccp(tree, a, b, core=None):
+    """BCCP (BCCP* with ``core``) of nodes ``a``, ``b`` by brute force.
+
+    Scores the dense ``point_indices(a) x point_indices(b)`` distance matrix,
+    takes its row-major first minimum and re-evaluates the winner with the
+    exact pair kernel: ``(point_a, point_b, weight)``.
+    """
+    flat = tree.flat
+    ia, ib = flat.point_indices(a), flat.point_indices(b)
+    scores = flat.metric.cross_distances(flat.points[ia], flat.points[ib])
+    if core is not None:
+        scores = np.maximum(scores, np.maximum(core[ia][:, None], core[ib][None, :]))
+    i, j = divmod(int(np.argmin(scores)), scores.shape[1])
+    weight = flat.metric.exact_edge_weights(flat.points, [ia[i]], [ib[j]], core)[0]
+    return int(ia[i]), int(ib[j]), float(weight)
+
+
+def one_bccp(tree, a, b, core=None):
+    """``bccp_batch`` on the single node pair ``(a, b)``."""
+    pa, pb, w = bccp_batch(tree.flat, np.array([a]), np.array([b]), core)
+    return int(pa[0]), int(pb[0]), float(w[0])
+
+
 def _split_nodes(points, leaf_size=32):
-    """kd-tree root children: a convenient pair of disjoint nodes."""
+    """kd-tree root children: a convenient pair of disjoint node ids."""
     tree = KDTree(points, leaf_size=leaf_size)
-    return tree, tree.root.left, tree.root.right
+    return tree, int(tree.flat.left_child[0]), int(tree.flat.right_child[0])
 
 
 class TestBCCP:
     def test_matches_bruteforce(self, small_points_3d):
         tree, left, right = _split_nodes(small_points_3d)
-        result = bccp(tree, left, right)
+        _, _, distance = one_bccp(tree, left, right)
+        flat = tree.flat
         _, _, expected = closest_pair_bruteforce(
-            small_points_3d[left.indices], small_points_3d[right.indices]
+            small_points_3d[flat.point_indices(left)],
+            small_points_3d[flat.point_indices(right)],
         )
-        assert result.distance == pytest.approx(expected)
+        assert distance == pytest.approx(expected)
+        assert one_bccp(tree, left, right) == brute_bccp(tree, left, right)
 
     def test_endpoints_belong_to_their_nodes(self, small_points_2d):
         tree, left, right = _split_nodes(small_points_2d)
-        result = bccp(tree, left, right)
-        assert result.point_a in set(left.indices.tolist())
-        assert result.point_b in set(right.indices.tolist())
+        point_a, point_b, _ = one_bccp(tree, left, right)
+        assert point_a in set(tree.flat.point_indices(left).tolist())
+        assert point_b in set(tree.flat.point_indices(right).tolist())
 
     def test_distance_consistent_with_endpoints(self, small_points_2d):
         tree, left, right = _split_nodes(small_points_2d)
-        result = bccp(tree, left, right)
-        recomputed = euclidean(
-            small_points_2d[result.point_a], small_points_2d[result.point_b]
-        )
-        assert result.distance == pytest.approx(recomputed)
-
-    def test_as_edge(self, small_points_2d):
-        tree, left, right = _split_nodes(small_points_2d)
-        result = bccp(tree, left, right)
-        u, v, w = result.as_edge()
-        assert (u, v, w) == (result.point_a, result.point_b, result.distance)
+        point_a, point_b, distance = one_bccp(tree, left, right)
+        recomputed = euclidean(small_points_2d[point_a], small_points_2d[point_b])
+        assert distance == pytest.approx(recomputed)
 
     def test_singleton_nodes(self):
         points = np.array([[0.0, 0.0], [3.0, 4.0]])
         tree = KDTree(points, leaf_size=1)
-        leaves = list(tree.leaves())
-        result = bccp(tree, leaves[0], leaves[1])
-        assert result.distance == pytest.approx(5.0)
+        leaves = tree.flat.leaf_ids()
+        assert one_bccp(tree, leaves[0], leaves[1])[2] == pytest.approx(5.0)
 
 
 class TestBCCPStar:
     def test_against_bruteforce_mutual_reachability(self, small_points_3d):
         core = core_distances(small_points_3d, 8)
         tree, left, right = _split_nodes(small_points_3d)
-        result = bccp_star(tree, left, right, core)
-        distances = cross_distances(
-            small_points_3d[left.indices], small_points_3d[right.indices]
-        )
-        mutual = np.maximum(
-            distances,
-            np.maximum(core[left.indices][:, None], core[right.indices][None, :]),
-        )
-        assert result.distance == pytest.approx(mutual.min())
+        _, _, distance = one_bccp(tree, left, right, core)
+        ia = tree.flat.point_indices(left)
+        ib = tree.flat.point_indices(right)
+        distances = cross_distances(small_points_3d[ia], small_points_3d[ib])
+        mutual = np.maximum(distances, np.maximum(core[ia][:, None], core[ib][None, :]))
+        assert distance == pytest.approx(mutual.min())
+        assert one_bccp(tree, left, right, core) == brute_bccp(tree, left, right, core)
 
     def test_bccp_star_at_least_bccp(self, small_points_3d):
         core = core_distances(small_points_3d, 8)
         tree, left, right = _split_nodes(small_points_3d)
-        euclidean_result = bccp(tree, left, right)
-        mutual_result = bccp_star(tree, left, right, core)
-        assert mutual_result.distance >= euclidean_result.distance - 1e-12
+        euclidean_distance = one_bccp(tree, left, right)[2]
+        mutual_distance = one_bccp(tree, left, right, core)[2]
+        assert mutual_distance >= euclidean_distance - 1e-12
 
     def test_minpts_one_reduces_to_bccp(self, small_points_2d):
         core = np.zeros(len(small_points_2d))
         tree, left, right = _split_nodes(small_points_2d)
-        assert bccp_star(tree, left, right, core).distance == pytest.approx(
-            bccp(tree, left, right).distance
+        assert one_bccp(tree, left, right, core)[2] == pytest.approx(
+            one_bccp(tree, left, right)[2]
         )
 
 
@@ -100,9 +119,8 @@ class TestBCCPBatch:
             a_ids, b_ids = _random_frontier(tree, np.random.default_rng(seed), 300)
             pa, pb, w = bccp_batch(tree.flat, a_ids, b_ids)
             for i in range(a_ids.size):
-                ref = bccp(tree, tree.node(int(a_ids[i])), tree.node(int(b_ids[i])))
-                assert (int(pa[i]), int(pb[i])) == (ref.point_a, ref.point_b)
-                assert float(w[i]) == ref.distance
+                ref = brute_bccp(tree, a_ids[i], b_ids[i])
+                assert (int(pa[i]), int(pb[i]), float(w[i])) == ref
 
     def test_matches_scalar_star_on_random_frontiers(self):
         rng = np.random.default_rng(1)
@@ -112,11 +130,8 @@ class TestBCCPBatch:
         a_ids, b_ids = _random_frontier(tree, rng, 250)
         pa, pb, w = bccp_batch(tree.flat, a_ids, b_ids, core)
         for i in range(a_ids.size):
-            ref = bccp_star(
-                tree, tree.node(int(a_ids[i])), tree.node(int(b_ids[i])), core
-            )
-            assert (int(pa[i]), int(pb[i])) == (ref.point_a, ref.point_b)
-            assert float(w[i]) == ref.distance
+            ref = brute_bccp(tree, a_ids[i], b_ids[i], core)
+            assert (int(pa[i]), int(pb[i]), float(w[i])) == ref
 
     def test_matches_scalar_on_wspd_pairs(self):
         points = np.random.default_rng(2).random((120, 2))
@@ -124,21 +139,20 @@ class TestBCCPBatch:
         a_ids, b_ids = compute_wspd_ids(tree)
         pa, pb, w = bccp_batch(tree.flat, a_ids, b_ids)
         for i in range(a_ids.size):
-            ref = bccp(tree, tree.node(int(a_ids[i])), tree.node(int(b_ids[i])))
-            assert (int(pa[i]), int(pb[i])) == (ref.point_a, ref.point_b)
-            assert float(w[i]) == ref.distance
+            ref = brute_bccp(tree, a_ids[i], b_ids[i])
+            assert (int(pa[i]), int(pb[i]), float(w[i])) == ref
 
     def test_duplicate_points_tie_breaking(self):
         # All-identical points: every candidate distance ties at zero and the
         # batched argmin must pick the same (row-major first) entry as the
-        # scalar kernel.
+        # brute-force matrix.
         points = np.zeros((16, 2))
         tree = KDTree(points, leaf_size=1)
         a_ids, b_ids = _random_frontier(tree, np.random.default_rng(3), 60)
         pa, pb, w = bccp_batch(tree.flat, a_ids, b_ids)
         for i in range(a_ids.size):
-            ref = bccp(tree, tree.node(int(a_ids[i])), tree.node(int(b_ids[i])))
-            assert (int(pa[i]), int(pb[i])) == (ref.point_a, ref.point_b)
+            ref = brute_bccp(tree, a_ids[i], b_ids[i])
+            assert (int(pa[i]), int(pb[i]), float(w[i])) == ref
             assert float(w[i]) == 0.0
 
     def test_empty_input(self):
@@ -158,16 +172,18 @@ class TestBCCPBatch:
         b = np.array([flat.right_child[0]], dtype=np.int64)
         assert int(flat.node_sizes[a[0]] * flat.node_sizes[b[0]]) >= 16_384
         pa, pb, w = bccp_batch(flat, a, b)
-        ref = bccp(tree, tree.node(int(a[0])), tree.node(int(b[0])))
-        assert (int(pa[0]), int(pb[0]), float(w[0])) == (
-            ref.point_a,
-            ref.point_b,
-            ref.distance,
-        )
+        assert (int(pa[0]), int(pb[0]), float(w[0])) == brute_bccp(tree, a[0], b[0])
+
+
+def one_get(cache, a, b):
+    """``BCCPCache.get_batch`` on the single node pair ``(a, b)``."""
+    pa, pb, w = cache.get_batch(np.array([a]), np.array([b]))
+    return int(pa[0]), int(pb[0]), float(w[0])
 
 
 class TestBCCPCache:
     def test_get_batch_matches_scalar_gets(self, small_points_2d):
+        """One whole-frontier lookup equals one-pair lookups in sequence."""
         tree = KDTree(small_points_2d, leaf_size=1)
         rng = np.random.default_rng(5)
         a_ids, b_ids = _random_frontier(tree, rng, 120)
@@ -175,12 +191,8 @@ class TestBCCPCache:
         pa, pb, w = batch_cache.get_batch(a_ids, b_ids)
         scalar_cache = BCCPCache(tree)
         for i in range(a_ids.size):
-            ref = scalar_cache.get(tree.node(int(a_ids[i])), tree.node(int(b_ids[i])))
-            assert (int(pa[i]), int(pb[i]), float(w[i])) == (
-                ref.point_a,
-                ref.point_b,
-                ref.distance,
-            )
+            ref = scalar_cache.get_batch(a_ids[i : i + 1], b_ids[i : i + 1])
+            assert (pa[i], pb[i], w[i]) == (ref[0][0], ref[1][0], ref[2][0])
         assert batch_cache.num_bccp_calls == scalar_cache.num_bccp_calls
         assert (
             batch_cache.num_distance_evaluations
@@ -220,36 +232,35 @@ class TestBCCPCache:
     def test_caches_results(self, small_points_2d):
         tree, left, right = _split_nodes(small_points_2d)
         cache = BCCPCache(tree)
-        first = cache.get(left, right)
-        second = cache.get(left, right)
+        first = one_get(cache, left, right)
+        second = one_get(cache, left, right)
         assert first == second
         assert cache.num_bccp_calls == 1
 
     def test_symmetric_key(self, small_points_2d):
         tree, left, right = _split_nodes(small_points_2d)
         cache = BCCPCache(tree)
-        cache.get(left, right)
-        cache.get(right, left)
+        one_get(cache, left, right)
+        one_get(cache, right, left)
         assert cache.num_bccp_calls == 1
 
     def test_counts_distance_evaluations(self, small_points_2d):
         tree, left, right = _split_nodes(small_points_2d)
         cache = BCCPCache(tree)
-        cache.get(left, right)
-        assert cache.num_distance_evaluations == left.size * right.size
+        one_get(cache, left, right)
+        sizes = tree.flat.node_sizes
+        assert cache.num_distance_evaluations == sizes[left] * sizes[right]
 
     def test_mutual_reachability_mode(self, small_points_3d):
         core = core_distances(small_points_3d, 5)
         tree, left, right = _split_nodes(small_points_3d)
         cache = BCCPCache(tree, core_distances=core)
         assert cache.uses_mutual_reachability
-        assert cache.get(left, right).distance == pytest.approx(
-            bccp_star(tree, left, right, core).distance
-        )
+        assert one_get(cache, left, right) == brute_bccp(tree, left, right, core)
 
     def test_len_reports_cached_pairs(self, small_points_2d):
         tree, left, right = _split_nodes(small_points_2d)
         cache = BCCPCache(tree)
         assert len(cache) == 0
-        cache.get(left, right)
+        one_get(cache, left, right)
         assert len(cache) == 1

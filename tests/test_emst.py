@@ -159,6 +159,11 @@ class TestPublicAPI:
         with pytest.raises(InvalidParameterError):
             emst(small_points_2d, method="naive", leaf_size=4)
 
+    @pytest.mark.parametrize("method", sorted(EMST_METHODS))
+    def test_unknown_option_rejected(self, method, small_points_2d):
+        with pytest.raises(InvalidParameterError, match="bogus.*num_threads"):
+            emst(small_points_2d, method=method, bogus=123)
+
     def test_result_repr(self, small_points_2d):
         result = emst(small_points_2d)
         assert "memogfk" in repr(result)
@@ -172,3 +177,49 @@ class TestPublicAPI:
         sequential = emst_naive(small_points_2d)
         threaded = emst_naive(small_points_2d, num_threads=4)
         assert threaded.total_weight == pytest.approx(sequential.total_weight)
+
+
+def tie_heavy_points(dim):
+    """Random points plus exact duplicates and a coarse lattice (n = 330)."""
+    rng = np.random.default_rng(40 + dim)
+    base = rng.random((200, dim))
+    lattice = rng.integers(0, 4, size=(100, dim)) * 0.25
+    return np.vstack([base, base[:30], lattice])
+
+
+class TestDualTreeBoruvka:
+    """The batched frontier Borůvka against the brute-force MST."""
+
+    @pytest.mark.parametrize(
+        "metric", ["euclidean", "manhattan", "chebyshev", "minkowski:3"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["tie-2d", "tie-7d", "collinear", "duplicates", "random-7d"]
+    )
+    def test_sorted_weights_equal_bruteforce(self, name, metric):
+        points = {
+            "tie-2d": lambda: tie_heavy_points(2),
+            "tie-7d": lambda: tie_heavy_points(7),
+            "collinear": lambda: np.column_stack(
+                [np.linspace(0.0, 1.0, 120), np.zeros(120)]
+            ),
+            "duplicates": lambda: np.repeat(np.eye(3), 8, axis=0),
+            "random-7d": lambda: np.random.default_rng(9).random((300, 7)),
+        }[name]()
+        result = emst_dualtree_boruvka(points, metric=metric)
+        assert result.is_spanning_tree()
+        got = np.sort(result.edges.as_arrays()[2])
+        want = np.sort(emst_bruteforce(points, metric=metric).edges.as_arrays()[2])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_identical_across_reruns_and_threads(self, dim):
+        points = tie_heavy_points(dim)
+        runs = [
+            emst_dualtree_boruvka(points, num_threads=threads).edges.as_arrays()
+            for threads in (1, 4, 1)
+        ]
+        for u, v, w in runs[1:]:
+            assert u.tobytes() == runs[0][0].tobytes()
+            assert v.tobytes() == runs[0][1].tobytes()
+            assert w.tobytes() == runs[0][2].tobytes()

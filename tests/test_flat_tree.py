@@ -10,10 +10,67 @@ from repro.core.errors import InvalidParameterError
 from repro.parallel.unionfind import UnionFind
 from repro.spatial import FlatKDTree, KDTree, knn
 from repro.spatial.knn import knn_bruteforce
-from repro.spatial.legacy import LegacyKDTree, legacy_knn
-from repro.wspd import compute_wspd_ids
+from repro.wspd import compute_wspd_ids, well_separated_mask
 
 F32_SETS_PATH = Path(__file__).parent / "data" / "knn_f32_neighbour_sets.npz"
+
+
+def reference_leaves(points, leaf_size):
+    """Leaf point sets of the spatial-median split rule, by recursion.
+
+    Split the widest box dimension at its midpoint; fall back to an object
+    median when every point lands on one side, and to a positional halve
+    when all points coincide.
+    """
+    leaves = []
+    stack = [np.arange(len(points))]
+    while stack:
+        idx = stack.pop()
+        if idx.size <= leaf_size:
+            leaves.append(tuple(sorted(idx.tolist())))
+            continue
+        coords = points[idx]
+        lower, upper = coords.min(axis=0), coords.max(axis=0)
+        dim = int(np.argmax(upper - lower))
+        half = idx.size // 2
+        if upper[dim] <= lower[dim]:
+            stack += [idx[:half], idx[half:]]
+            continue
+        mask = coords[:, dim] < (lower[dim] + upper[dim]) * 0.5
+        if mask.all() or not mask.any():
+            order = np.argsort(coords[:, dim], kind="stable")
+            stack += [idx[order[:half]], idx[order[half:]]]
+        else:
+            stack += [idx[mask], idx[~mask]]
+    return sorted(leaves)
+
+
+def recursive_wspd(flat, s=2.0):
+    """Algorithm 1 as written: one FIND_PAIR recursion per internal node.
+
+    Each pair is oriented larger sphere first; an unseparated pair splits its
+    larger node (the other one if that is a leaf), and two unseparated
+    leaves (duplicate points) are recorded anyway.
+    """
+    pairs = set()
+
+    def find_pair(a, b):
+        if flat.node_radius[a] < flat.node_radius[b]:
+            a, b = b, a
+        if well_separated_mask(flat, np.array([a]), np.array([b]), s)[0]:
+            pairs.add((a, b))
+            return
+        if flat.left_child[a] < 0:
+            a, b = b, a
+        if flat.left_child[a] < 0:
+            pairs.add((a, b))
+            return
+        find_pair(int(flat.left_child[a]), b)
+        find_pair(int(flat.right_child[a]), b)
+
+    for node in np.flatnonzero(flat.left_child >= 0):
+        find_pair(int(flat.left_child[node]), int(flat.right_child[node]))
+    return pairs
 
 
 def exact_knn_reference(points, queries, k):
@@ -56,19 +113,16 @@ class TestFlatConstruction:
             assert flat.node_end[right] == flat.node_end[node]
 
     def test_same_structure_as_legacy_object_tree(self, small_points_2d):
-        """Both engines implement the identical spatial-median split rule."""
-        flat = FlatKDTree(small_points_2d, leaf_size=3)
-        legacy = LegacyKDTree(small_points_2d, leaf_size=3)
-        flat_leaves = sorted(
-            tuple(sorted(flat.point_indices(int(i)).tolist()))
-            for i in flat.leaf_ids()
-        )
-        legacy_leaves = sorted(
-            tuple(sorted(node.indices.tolist()))
-            for node in legacy._nodes
-            if node.is_leaf
-        )
-        assert flat_leaves == legacy_leaves
+        """The level-synchronous build implements the per-node split rule
+        of the original object tree (:func:`reference_leaves`)."""
+        points = np.vstack([small_points_2d, small_points_2d[:10], np.zeros((4, 2))])
+        for leaf_size in (1, 3):
+            flat = FlatKDTree(points, leaf_size=leaf_size)
+            flat_leaves = sorted(
+                tuple(sorted(flat.point_indices(int(i)).tolist()))
+                for i in flat.leaf_ids()
+            )
+            assert flat_leaves == reference_leaves(points, leaf_size)
 
     def test_duplicate_points_terminate(self):
         flat = FlatKDTree(np.zeros((16, 3)), leaf_size=1)
@@ -99,13 +153,6 @@ class TestBatchKnn:
         _, distances = flat.query_knn(small_points_3d, 5)
         reference = exact_knn_reference(small_points_3d, small_points_3d, 5)
         assert np.allclose(distances, reference, rtol=1e-12, atol=0)
-
-    def test_matches_legacy_traversal(self, small_points_2d):
-        flat = FlatKDTree(small_points_2d, leaf_size=8)
-        legacy = LegacyKDTree(small_points_2d, leaf_size=8)
-        _, flat_d = flat.query_knn(small_points_2d, 6)
-        _, legacy_d = legacy_knn(legacy, 6)
-        assert np.allclose(flat_d, legacy_d, rtol=1e-12, atol=0)
 
     def test_indices_consistent_with_distances(self, small_points_2d):
         flat = FlatKDTree(small_points_2d, leaf_size=4)
@@ -307,13 +354,12 @@ class TestMaskWithinRadii:
 
 class TestWspdIds:
     def test_id_pairs_match_object_pairs(self, small_points_2d):
-        tree = KDTree(small_points_2d, leaf_size=1)
-        from repro.wspd import compute_wspd
-
-        object_pairs = {
-            (pair.node_a.node_id, pair.node_b.node_id)
-            for pair in compute_wspd(tree)
-        }
-        a_ids, b_ids = compute_wspd_ids(tree)
-        id_pairs = set(zip(a_ids.tolist(), b_ids.tolist()))
-        assert id_pairs == object_pairs
+        """The frontier decomposition records exactly the pairs, in the
+        same orientation, that the per-pair recursion of Algorithm 1 does."""
+        points = np.vstack([small_points_2d, small_points_2d[:8]])
+        tree = KDTree(points, leaf_size=1)
+        for s in (2.0, 8.0):
+            a_ids, b_ids = compute_wspd_ids(tree, s=s)
+            id_pairs = set(zip(a_ids.tolist(), b_ids.tolist()))
+            assert len(id_pairs) == a_ids.size
+            assert id_pairs == recursive_wspd(tree.flat, s)

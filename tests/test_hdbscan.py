@@ -16,7 +16,9 @@ from repro.hdbscan import (
     mutual_reachability_matrix,
     optics_approx_mst,
 )
+from repro.mst import kruskal
 from repro.spatial import KDTree
+from repro.wspd import compute_wspd_ids
 
 EXACT_METHODS = [hdbscan_mst_gantao, hdbscan_mst_memogfk]
 
@@ -192,6 +194,51 @@ class TestApproximateOptics:
         assert result.stats["separation_constant"] == pytest.approx(8.0)
 
 
+def appendix_c_oracle(points, min_pts, rho, metric):
+    """Appendix C per pair: the four cardinality cases, then Kruskal.
+
+    Walks the ``s = sqrt(8 / rho)`` decomposition one pair at a time; a node
+    with fewer than ``min_pts`` points contributes every member, a larger one
+    its first member, and each edge weighs
+    ``max(cd(u), cd(v), d(u, v) / (1 + rho))``.
+    """
+    core = core_distances(points, min_pts, metric=metric)
+    tree = KDTree(points, metric=metric)
+    flat = tree.flat
+    metric = flat.metric
+    edges = []
+    for a, b in zip(*compute_wspd_ids(tree, s=np.sqrt(8.0 / rho))):
+        members_a = flat.point_indices(a)
+        members_b = flat.point_indices(b)
+        if len(members_a) >= min_pts:
+            members_a = members_a[:1]
+        if len(members_b) >= min_pts:
+            members_b = members_b[:1]
+        for u in members_a.tolist():
+            for v in members_b.tolist():
+                distance = metric.point_distance(points[u], points[v])
+                edges.append((u, v, max(core[u], core[v], distance / (1.0 + rho))))
+    return kruskal(edges, len(points)).as_arrays()
+
+
+class TestOpticsApproxOracle:
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("rho", [0.125, 0.5])
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_matches_per_pair_oracle(self, dim, rho, metric):
+        rng = np.random.default_rng(dim)
+        base = rng.random((150, dim))
+        lattice = rng.integers(0, 4, size=(60, dim)) * 0.25
+        points = np.vstack([base, base[:20], lattice])
+        # minPts 3 puts many pairs in the three cases with a large node.
+        for min_pts in (3, 10):
+            result = optics_approx_mst(points, min_pts, rho=rho, metric=metric)
+            got = result.edges.as_arrays()
+            want = appendix_c_oracle(points, min_pts, rho, metric)
+            for got_part, want_part in zip(got, want):
+                assert got_part.tobytes() == want_part.tobytes()
+
+
 class TestPublicAPI:
     def test_default_pipeline(self, clustered_points):
         points, truth = clustered_points
@@ -214,6 +261,11 @@ class TestPublicAPI:
     def test_unknown_method(self, small_points_2d):
         with pytest.raises(InvalidParameterError):
             hdbscan(small_points_2d, method="nope")
+
+    @pytest.mark.parametrize("method", sorted(HDBSCAN_METHODS))
+    def test_unknown_option_rejected(self, method, small_points_2d):
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            hdbscan(small_points_2d, min_pts=5, method=method, bogus=123)
 
     def test_invalid_minpts(self, small_points_2d):
         with pytest.raises(InvalidParameterError):

@@ -1,4 +1,4 @@
-"""Tests for the spatial-median kd-tree."""
+"""Tests for the spatial-median kd-tree, with nodes named by their ids."""
 
 import numpy as np
 import pytest
@@ -9,30 +9,28 @@ from repro.spatial import KDTree
 
 class TestConstruction:
     def test_leaf_size_one_gives_singleton_leaves(self, small_points_2d):
-        tree = KDTree(small_points_2d, leaf_size=1)
-        assert all(leaf.size == 1 for leaf in tree.leaves())
+        flat = KDTree(small_points_2d, leaf_size=1).flat
+        assert np.all(flat.node_sizes[flat.leaf_ids()] == 1)
 
     def test_leaf_size_respected(self, small_points_3d):
-        tree = KDTree(small_points_3d, leaf_size=8)
-        assert all(leaf.size <= 8 for leaf in tree.leaves())
+        flat = KDTree(small_points_3d, leaf_size=8).flat
+        assert np.all(flat.node_sizes[flat.leaf_ids()] <= 8)
 
     def test_all_points_in_exactly_one_leaf(self, small_points_2d):
-        tree = KDTree(small_points_2d, leaf_size=4)
-        seen = np.concatenate([leaf.indices for leaf in tree.leaves()])
+        flat = KDTree(small_points_2d, leaf_size=4).flat
+        seen = np.concatenate([flat.point_indices(leaf) for leaf in flat.leaf_ids()])
         assert sorted(seen.tolist()) == list(range(len(small_points_2d)))
 
     def test_root_contains_all_points(self, small_points_2d):
-        tree = KDTree(small_points_2d)
-        assert tree.root.size == len(small_points_2d)
+        flat = KDTree(small_points_2d).flat
+        assert flat.node_sizes[0] == len(small_points_2d)
 
     def test_children_partition_parent(self, small_points_3d):
-        tree = KDTree(small_points_3d, leaf_size=2)
-        for node in tree.nodes():
-            if node.is_leaf:
-                continue
-            left = set(node.left.indices.tolist())
-            right = set(node.right.indices.tolist())
-            assert left | right == set(node.indices.tolist())
+        flat = KDTree(small_points_3d, leaf_size=2).flat
+        for node in np.flatnonzero(flat.left_child >= 0):
+            left = set(flat.point_indices(flat.left_child[node]).tolist())
+            right = set(flat.point_indices(flat.right_child[node]).tolist())
+            assert left | right == set(flat.point_indices(node).tolist())
             assert not (left & right)
 
     def test_node_count_bound(self, small_points_2d):
@@ -41,31 +39,33 @@ class TestConstruction:
         assert n <= tree.num_nodes <= 2 * n
 
     def test_bounding_boxes_contain_points(self, small_points_3d):
-        tree = KDTree(small_points_3d, leaf_size=4)
-        for node in tree.nodes():
-            for index in node.indices:
-                assert node.box.contains(small_points_3d[index], tol=1e-9)
+        flat = KDTree(small_points_3d, leaf_size=4).flat
+        for node in range(flat.num_nodes):
+            members = small_points_3d[flat.point_indices(node)]
+            assert np.all(members >= flat.node_lower[node])
+            assert np.all(members <= flat.node_upper[node])
 
     def test_bounding_spheres_contain_points(self, small_points_3d):
-        tree = KDTree(small_points_3d, leaf_size=4)
-        for node in tree.nodes():
-            for index in node.indices:
-                assert node.sphere.contains(small_points_3d[index])
+        flat = KDTree(small_points_3d, leaf_size=4).flat
+        for node in range(flat.num_nodes):
+            members = small_points_3d[flat.point_indices(node)]
+            reach = flat.metric.diff_norms(members - flat.node_center[node])
+            assert np.all(reach <= flat.node_radius[node] + 1e-12)
 
     def test_single_point(self):
         tree = KDTree(np.array([[1.0, 2.0]]))
-        assert tree.root.is_leaf
+        assert tree.flat.left_child[0] < 0
         assert tree.num_nodes == 1
 
     def test_duplicate_points_terminate(self):
         points = np.zeros((16, 3))
-        tree = KDTree(points, leaf_size=1)
-        assert all(leaf.size == 1 for leaf in tree.leaves())
+        flat = KDTree(points, leaf_size=1).flat
+        assert np.all(flat.node_sizes[flat.leaf_ids()] == 1)
 
     def test_collinear_points(self):
         points = np.column_stack([np.arange(32.0), np.zeros(32)])
-        tree = KDTree(points, leaf_size=2)
-        assert sum(leaf.size for leaf in tree.leaves()) == 32
+        flat = KDTree(points, leaf_size=2).flat
+        assert flat.node_sizes[flat.leaf_ids()].sum() == 32
 
     def test_invalid_leaf_size(self):
         with pytest.raises(InvalidParameterError):
@@ -84,11 +84,6 @@ class TestConstruction:
         assert tree.size == len(small_points_5d)
         assert tree.dimension == 5
 
-    def test_node_points_accessor(self, small_points_2d):
-        tree = KDTree(small_points_2d, leaf_size=4)
-        node = next(iter(tree.leaves()))
-        assert np.array_equal(tree.node_points(node), small_points_2d[node.indices])
-
 
 class TestCoreDistanceAnnotation:
     def test_min_max_consistency(self, small_points_2d):
@@ -96,10 +91,11 @@ class TestCoreDistanceAnnotation:
         rng = np.random.default_rng(5)
         core = rng.random(len(small_points_2d))
         tree.annotate_core_distances(core)
-        for node in tree.nodes():
-            values = core[node.indices]
-            assert node.cd_min == pytest.approx(values.min())
-            assert node.cd_max == pytest.approx(values.max())
+        flat = tree.flat
+        for node in range(flat.num_nodes):
+            values = core[flat.point_indices(node)]
+            assert flat.cd_min[node] == values.min()
+            assert flat.cd_max[node] == values.max()
 
     def test_requires_matching_length(self, small_points_2d):
         tree = KDTree(small_points_2d)

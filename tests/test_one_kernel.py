@@ -3,7 +3,7 @@
 HDBSCAN* reads ``d(u, v)`` twice: the k-NN fold turns it into core
 distances, and BCCP*/Kruskal turn it into mutual-reachability weights
 ``max(cd_u, cd_v, d(u, v))``.  Both — and the scalar ``point_distance``, the
-box gaps and every EMST method's edge weights — come from
+kd-tree's box gaps and every EMST method's edge weights — come from
 :meth:`Metric.diff_norms`, so the same pair yields the same bits whatever
 path, batch, order or memory layout evaluates it.
 """
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conformance import CONFORMANCE_METRICS, EXACT_EMST_METHODS
-from repro.core.bounding import BoundingBox
 from repro.core.metric import resolve_metric
 from repro.dynamic import fit_dynamic
 from repro.emst import emst
@@ -68,8 +67,8 @@ def test_every_path_reads_the_knn_bits(metric_name, dim, kind):
     for a, b, want in zip(i[:: m // 97], j[:: m // 97], d[:: m // 97]):
         assert metric.point_distance(points[a], points[b]) == want
         assert metric.exact_edge_weights(points, [a], [b])[0] == want
-        box = BoundingBox(points[a], points[a])
-        assert box.min_distance_to_point(points[b], metric) == want
+        point_leaf = KDTree(points[a : a + 1], metric=metric).flat
+        assert point_leaf.min_distances_to_points(points[b : b + 1], [0])[0] == want
 
     # The row kernel itself, in C, F and strided layouts.
     diff = points[i] - points[j]

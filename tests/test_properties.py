@@ -27,7 +27,7 @@ from repro.hdbscan import core_distances, hdbscan_mst_bruteforce, hdbscan_mst_me
 from repro.mst import boruvka, kruskal, total_weight
 from repro.parallel import UnionFind, prefix_sum
 from repro.spatial import KDTree
-from repro.wspd import compute_wspd
+from repro.wspd import compute_wspd_ids
 from repro.wspd.wspd import validate_wspd_realization
 
 SETTINGS = settings(
@@ -253,8 +253,7 @@ class TestWSPDProperties:
     @given(points=point_sets(min_points=2, max_points=30, max_dim=3))
     def test_realization_exact_cover(self, points):
         tree = KDTree(points, leaf_size=1)
-        pairs = compute_wspd(tree)
-        assert validate_wspd_realization(tree, pairs)
+        assert validate_wspd_realization(tree, *compute_wspd_ids(tree))
 
 
 class TestHDBSCANProperties:
