@@ -396,6 +396,8 @@ def _run_serve(args, parser, resilience_kwargs) -> None:
 
     if (args.input is None) == (args.load is None):
         parser.error("serve takes a points file or --load STATE (exactly one)")
+    if args.cache_size < 1:
+        parser.error(f"--cache-size must be >= 1, got {args.cache_size}")
     if args.load is not None:
         # Fit-shaping flags are fixed by the saved state; all of them carry
         # None-sentinel defaults, so an explicitly-passed flag is detected

@@ -12,8 +12,8 @@ folding a batch of deletes and a batch of inserts into **one** repair pass
 and one state rebuild (:func:`insert_batch` / :func:`delete_batch` are its
 one-sided forms):
 
-* the *base* tree (a leaf-size-1 kd-tree over the points present at the
-  last cold fit) is tombstoned, never restructured: deletions flip an
+* the *base* tree (a leaf-size-1 kd-tree over the points present when the
+  support was built) is tombstoned, never restructured: deletions flip an
   ``alive`` bit and the live core-distance extrema are re-annotated in one
   sweep.  Its WSPD pair decomposition is cached with per-pair BCCP winners
   and repaired locally per update;
@@ -21,11 +21,12 @@ one-sided forms):
   per-point separation descent and against each other by a tiny WSPD of
   their own; a log-scheduled full rebuild folds the buffer in (or drops
   the tombstones) before either side grows past a fixed fraction of n;
-* every update re-assembles the state once, through one shared path — exact
-  candidate edge weights via :meth:`Metric.exact_edge_weights`, the
-  canonical MST normal form of :func:`repro.mst.canonical_mst_arrays`, a
-  fresh top-down dendrogram and condensed tree — the same path a cold
-  :func:`fit_dynamic` takes.  Conformance therefore reduces to both sides
+* every update re-assembles the state once — exact candidate edge weights
+  via :meth:`Metric.exact_edge_weights`, the canonical MST normal form of
+  :func:`repro.mst.canonical_mst_arrays`, a fresh top-down dendrogram and
+  condensed tree.  The cold fit (:func:`fit_dynamic`, which is
+  :func:`repro.serve.state.fit_state`'s MemoGFK fit) puts its MST into the
+  same normal form.  Conformance therefore reduces to both sides
   presenting candidate sets with the same weight-class filtration, which
   the WSPD coverage argument guarantees; the result is **byte-identical**
   to a cold refit of the surviving points, across metrics, thread counts
@@ -35,14 +36,12 @@ The cut cache of the returned state starts empty: an update changes ``n``,
 so every cached labelling of the previous state is invalid by construction —
 full invalidation is exact, not conservative.
 
-States made by :func:`fit_dynamic` carry their repair support with them;
-states from :func:`repro.serve.state.fit_state` (or a ``load_state``) are
-adopted by running one cold :func:`fit_dynamic` over their points first.
-Their core distances are already the same kd-tree bits (every exact pair
-distance comes from :meth:`Metric.diff_norms`); the adopting fit runs to
-build the repair support and the canonical MST.  A state that has been
-updated *from* hands its support to the successor state and reverts to
-plain read-only serving.
+No cold fit builds repair support: only updates need it.  Every state of
+an exact backend — from :func:`fit_dynamic`,
+:func:`repro.serve.state.fit_state`, ``load_state`` or a rebuilding
+update — gets its support on its first update (or on the first read of
+:data:`SUPPORT_ATTR`), built from its points and core distances.  A state that has been updated *from* hands its
+support to the successor state; updating it again rebuilds its own.
 """
 
 from __future__ import annotations
@@ -68,13 +67,13 @@ from repro.dynamic.spatial import (
     segmented_min_mr,
     winner_beat_mask,
 )
-from repro.hdbscan.core_distance import core_distances
 from repro.mst.canonical import canonical_mst_arrays
 from repro.mst.kruskal import parallel_argsort
 from repro.serve.state import (
     DEFAULT_CUT_CACHE,
     SERVING_LEAF_SIZE,
     FitState,
+    _fit,
     _state_fingerprint,
 )
 from repro.spatial.kdtree import KDTree
@@ -90,7 +89,7 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
 class DynamicSupport:
-    """Mutable repair state riding along with a dynamically-fitted state.
+    """Mutable repair state riding along with an updatable state.
 
     Point identity is *stable ids*: slots ``0..n_base-1`` are the base
     tree's points, later slots are buffered inserts; ``order`` maps each
@@ -104,9 +103,6 @@ class DynamicSupport:
         *,
         metric,
         backend,
-        min_pts: int,
-        min_cluster_size: int,
-        allow_single_cluster: bool,
         base_tree: Optional[KDTree],
         base_alive: np.ndarray,
         stable_points: np.ndarray,
@@ -121,9 +117,6 @@ class DynamicSupport:
     ) -> None:
         self.metric = metric
         self.backend = backend
-        self.min_pts = int(min_pts)
-        self.min_cluster_size = int(min_cluster_size)
-        self.allow_single_cluster = bool(allow_single_cluster)
         self.base_tree = base_tree
         self.base_alive = base_alive
         self.stable_points = stable_points
@@ -206,148 +199,71 @@ def fit_dynamic(
     memory_budget: BudgetLike = None,
     cut_cache_size: int = DEFAULT_CUT_CACHE,
 ) -> FitState:
-    """Cold fit producing an updatable :class:`FitState` (``method="dynamic"``).
+    """The cold fit :func:`update_batch` is byte-conformant against.
 
-    This is the refit that :func:`update_batch` is byte-conformant
-    against.  Its core distances are the kd-tree k-NN values every
-    HDBSCAN* pipeline computes (tree-structure independent, hence
-    recomputable for an arbitrary subset of points after an update); it
-    differs from :func:`repro.serve.state.fit_state` in emitting the MST in
-    the canonical normal form of :func:`repro.mst.canonical_mst_arrays` (a
-    pure function of the weight-class filtration, hence reachable by local
-    repair) and in keeping the repair support.  Accepts any
-    ``n >= 0``, clamping ``minPts`` to ``min(min_pts, n)`` like the HDBSCAN
-    drivers do.
+    The same fit as :func:`repro.serve.state.fit_state` with
+    ``method="memogfk"`` — kd-tree core distances, the MemoGFK MST in the
+    canonical normal form of :func:`repro.mst.canonical_mst_arrays` (a pure
+    function of the weight-class filtration, hence reachable by local
+    repair) — restricted to exact backends and accepting any ``n >= 0``,
+    with ``minPts`` clamped to ``min(min_pts, n)`` like the HDBSCAN*
+    drivers do.  The repair support is built on the first update.
     """
-    if int(min_pts) < 1:
-        raise InvalidParameterError("min_pts must be >= 1")
-    if int(min_cluster_size) < 1:
-        raise InvalidParameterError("min_cluster_size must be >= 1")
-    resolved_metric = resolve_metric(metric)
     resolved_backend = _require_exact_backend(backend)
-    data = _coerce_points(points)
-    with use_context(memory_budget=memory_budget):
-        return _cold_fit(
-            data,
-            metric=resolved_metric,
-            backend=resolved_backend,
-            min_pts=int(min_pts),
-            min_cluster_size=int(min_cluster_size),
-            allow_single_cluster=bool(allow_single_cluster),
-            num_threads=num_threads,
-            cut_cache_size=cut_cache_size,
-        )
-
-
-def _cold_fit(
-    data: np.ndarray,
-    *,
-    metric,
-    backend,
-    min_pts: int,
-    min_cluster_size: int,
-    allow_single_cluster: bool,
-    num_threads: Optional[int],
-    cut_cache_size: int,
-) -> FitState:
-    n = int(data.shape[0])
-    if n == 0:
-        support = DynamicSupport(
-            metric=metric,
-            backend=backend,
-            min_pts=min_pts,
-            min_cluster_size=min_cluster_size,
-            allow_single_cluster=allow_single_cluster,
-            base_tree=None,
-            base_alive=np.zeros(0, dtype=bool),
-            stable_points=data,
-            stable_cd=_EMPTY_F.copy(),
-            order=_EMPTY_I.copy(),
-            buffer=_EMPTY_I.copy(),
-            pair_a=_EMPTY_I.copy(),
-            pair_b=_EMPTY_I.copy(),
-            pair_u=_EMPTY_I.copy(),
-            pair_v=_EMPTY_I.copy(),
-            pair_w=_EMPTY_F.copy(),
-        )
-        state = FitState(
-            points=data,
-            tree=None,
-            core_distances=_EMPTY_F.copy(),
-            mst_u=_EMPTY_I.copy(),
-            mst_v=_EMPTY_I.copy(),
-            mst_w=_EMPTY_F.copy(),
-            dendrogram=None,
-            condensed=None,
-            min_pts=min_pts,
-            min_cluster_size=min_cluster_size,
-            allow_single_cluster=allow_single_cluster,
-            method="dynamic",
-            fingerprint=_state_fingerprint(
-                data,
-                method="dynamic",
-                metric=metric,
-                backend=backend,
-                memory_budget=None,
-                num_threads=num_threads,
-                min_pts=min_pts,
-                min_cluster_size=min_cluster_size,
-                allow_single_cluster=allow_single_cluster,
-                leaf_size=SERVING_LEAF_SIZE,
-            ),
-            cut_cache_size=cut_cache_size,
-            metric=metric,
-            backend=backend,
-        )
-        setattr(state, SUPPORT_ATTR, support)
-        return state
-
-    serving = KDTree(
-        data, leaf_size=SERVING_LEAF_SIZE, metric=metric, backend=backend
-    )
-    effective = min(min_pts, n)
-    cds = core_distances(
-        data,
-        effective,
-        method="kdtree",
-        tree=serving,
+    return _fit(
+        _coerce_points(points),
+        min_pts=min_pts,
+        min_cluster_size=min_cluster_size,
+        allow_single_cluster=allow_single_cluster,
+        method="memogfk",
+        metric=resolve_metric(metric),
+        backend=resolved_backend,
         num_threads=num_threads,
-        metric=metric,
-        backend=backend,
+        memory_budget=memory_budget,
+        leaf_size=SERVING_LEAF_SIZE,
+        cut_cache_size=cut_cache_size,
     )
-    serving.annotate_core_distances(cds)
 
-    base = KDTree(data, leaf_size=1, metric=metric, backend=backend)
-    base.annotate_core_distances(cds)
+
+def _build_support(
+    state: FitState, num_threads: Optional[int] = None
+) -> DynamicSupport:
+    """Repair support for ``state``, from its points and core distances.
+
+    Builds the leaf-size-1 base tree over the state's points, its WSPD and
+    every pair's exact-min winner (not the expansion-scored BCCP argmin:
+    every dynamic candidate carries its pair's exact minimum, which makes
+    the canonical filtration independent of the decomposition and is what
+    lets a repaired pair set reproduce a cold refit bitwise).  Only updates
+    need this, so it runs on a state's first update, not in the cold fit.
+    """
+    backend = _require_exact_backend(state.backend)
+    data = state.points
+    n = state.num_points
+    cds = np.array(state.core_distances, dtype=np.float64)
+    base = None
+    pair_a, pair_b = _EMPTY_I.copy(), _EMPTY_I.copy()
+    pair_u, pair_v = _EMPTY_I.copy(), _EMPTY_I.copy()
+    pair_w = _EMPTY_F.copy()
+    if n:
+        base = KDTree(data, leaf_size=1, metric=state.metric, backend=backend)
+        base.annotate_core_distances(cds)
     if n >= 2:
         pair_a, pair_b = compute_wspd_ids(
             base, separation="hdbscan", num_threads=num_threads
         )
-    else:
-        pair_a, pair_b = _EMPTY_I.copy(), _EMPTY_I.copy()
     if pair_a.size:
-        # Exact-min winners (not the expansion-scored BCCP argmin): every
-        # dynamic candidate carries its pair's exact minimum, which makes
-        # the canonical filtration independent of the decomposition and is
-        # what lets a repaired pair set reproduce a cold refit bitwise.
         pair_u, pair_v, pair_w = masked_pair_winners(
             base.flat, pair_a, pair_b, np.ones(n, dtype=bool), cds,
             base.metric, num_threads,
         )
-    else:
-        pair_u, pair_v = _EMPTY_I.copy(), _EMPTY_I.copy()
-        pair_w = _EMPTY_F.copy()
-
     support = DynamicSupport(
-        metric=metric,
+        metric=state.metric,
         backend=backend,
-        min_pts=min_pts,
-        min_cluster_size=min_cluster_size,
-        allow_single_cluster=allow_single_cluster,
         base_tree=base,
         base_alive=np.ones(n, dtype=bool),
         stable_points=data,
-        stable_cd=np.ascontiguousarray(cds, dtype=np.float64).copy(),
+        stable_cd=cds,
         order=np.arange(n, dtype=np.int64),
         buffer=_EMPTY_I.copy(),
         pair_a=np.asarray(pair_a, dtype=np.int64),
@@ -356,17 +272,9 @@ def _cold_fit(
         pair_v=pair_v,
         pair_w=pair_w,
     )
-    support.node_alive = node_any_flags(base.flat, support.base_alive)
-    return _assemble(
-        support,
-        data,
-        serving,
-        _EMPTY_I,
-        _EMPTY_I,
-        _EMPTY_F,
-        num_threads=num_threads,
-        cut_cache_size=cut_cache_size,
-    )
+    if base is not None:
+        support.node_alive = node_any_flags(base.flat, support.base_alive)
+    return support
 
 
 def _merge_by_value(
@@ -394,6 +302,7 @@ def _merge_by_value(
 
 
 def _assemble(
+    previous: FitState,
     support: DynamicSupport,
     data: np.ndarray,
     serving: KDTree,
@@ -402,9 +311,8 @@ def _assemble(
     extra_w: np.ndarray,
     *,
     num_threads: Optional[int],
-    cut_cache_size: int,
 ) -> FitState:
-    """Shared state assembly for cold fits and incremental updates.
+    """The state an update of ``previous`` produces, with its parameters.
 
     Candidates are the cached base-pair winners plus the update's buffer
     winners; every value is an exact per-pair minimum from
@@ -450,7 +358,7 @@ def _assemble(
         mst_u, mst_v = _EMPTY_I.copy(), _EMPTY_I.copy()
         mst_w = _EMPTY_F.copy()
     dendrogram = dendrogram_topdown((mst_u, mst_v, mst_w), n)
-    condensed = condense_dendrogram(dendrogram, support.min_cluster_size)
+    condensed = condense_dendrogram(dendrogram, previous.min_cluster_size)
     state = FitState(
         points=data,
         tree=serving,
@@ -460,62 +368,26 @@ def _assemble(
         mst_w=mst_w,
         dendrogram=dendrogram,
         condensed=condensed,
-        min_pts=support.min_pts,
-        min_cluster_size=support.min_cluster_size,
-        allow_single_cluster=support.allow_single_cluster,
-        method="dynamic",
+        min_pts=previous.min_pts,
+        min_cluster_size=previous.min_cluster_size,
+        allow_single_cluster=previous.allow_single_cluster,
+        method="memogfk",
         fingerprint=_state_fingerprint(
             data,
-            method="dynamic",
+            method="memogfk",
             metric=support.metric,
             backend=support.backend,
             memory_budget=None,
             num_threads=num_threads,
-            min_pts=support.min_pts,
-            min_cluster_size=support.min_cluster_size,
-            allow_single_cluster=support.allow_single_cluster,
+            min_pts=previous.min_pts,
+            min_cluster_size=previous.min_cluster_size,
+            allow_single_cluster=previous.allow_single_cluster,
             leaf_size=SERVING_LEAF_SIZE,
         ),
-        cut_cache_size=cut_cache_size,
+        cut_cache_size=previous._cut_capacity,
     )
     setattr(state, SUPPORT_ATTR, support)
     return state
-
-
-def _detach_support(state: FitState) -> DynamicSupport:
-    """Take ownership of a state's repair support (it moves, never shares).
-
-    The repair mutates the base tree's annotations and the tombstone mask in
-    place, so the support cannot be shared between the predecessor and
-    successor states; the predecessor reverts to plain read-only serving
-    (updating it again costs one cold adoption fit).
-    """
-    support = getattr(state, SUPPORT_ATTR)
-    delattr(state, SUPPORT_ATTR)
-    return support
-
-
-def _adopt(state: FitState, num_threads: Optional[int]) -> FitState:
-    """Return a dynamically-fitted equivalent of ``state``.
-
-    States without repair support (built by :func:`fit_state`, restored by
-    ``load_state``, or previously updated *from*) get one cold
-    :func:`fit_dynamic` over their current points with their fitted
-    parameters.  Their core distances already match it bit for bit; the
-    refit builds the repair support and the canonical MST.
-    """
-    if getattr(state, SUPPORT_ATTR, None) is not None:
-        return state
-    return fit_dynamic(
-        state.points,
-        min_pts=state.min_pts,
-        min_cluster_size=state.min_cluster_size,
-        allow_single_cluster=state.allow_single_cluster,
-        metric=state.metric,
-        backend=state.backend,
-        num_threads=num_threads,
-        cut_cache_size=state._cut_capacity,
-    )
 
 
 def _coerce_indices(indices, n: int) -> np.ndarray:
@@ -559,7 +431,7 @@ def update_batch(
     if insert is None:
         insert = np.empty((0, state.dimension))
     batch = _coerce_points(insert, dimension=state.dimension)
-    state = _adopt(state, num_threads)
+    _require_exact_backend(state.backend)
     if idx.size == 0 and batch.shape[0] == 0:
         return state
     with use_context(memory_budget=memory_budget):
@@ -601,7 +473,6 @@ def delete_batch(
 def _update(
     state: FitState, idx: np.ndarray, batch: np.ndarray, num_threads
 ) -> FitState:
-    support = _detach_support(state)
     n_old = state.num_points
     keep = np.ones(n_old, dtype=bool)
     keep[idx] = False
@@ -609,31 +480,47 @@ def _update(
     m = int(batch.shape[0])
     n_new = survivors + m
 
-    dying_stable = support.order[idx]
-    dying_base = dying_stable[dying_stable < support.n_base]
-    dying_buffer = dying_stable[dying_stable >= support.n_base]
-    dead_after = int((~support.base_alive).sum()) + int(dying_base.size)
-    buffered_after = support.buffer.size - dying_buffer.size + m
+    # The repair mutates the base tree's annotations and the tombstone mask
+    # in place, so the support moves to the successor state, never shared.
+    # A state without one (never updated, or updated from before) would get
+    # a base of all its points, none dead and none buffered.
+    support = vars(state).pop(SUPPORT_ATTR, None)
+    n_base, dead_after, buffered_after = n_old, int(idx.size), m
+    if support is not None:
+        dying_stable = support.order[idx]
+        n_base = support.n_base
+        dead_after = int((~support.base_alive).sum()) + int(
+            (dying_stable < n_base).sum()
+        )
+        buffered_after += support.buffer.size - int((dying_stable >= n_base).sum())
     if (
         survivors == 0
-        or dead_after > max(32, support.n_base // 4)
+        or dead_after > max(32, n_base // 4)
         or buffered_after > max(32, n_new // 8)
     ):
         # Log-scheduled merge: fold the buffer and the tombstones into a
         # fresh base before the side structures dominate the update cost.
-        return _cold_fit(
+        return _fit(
             np.ascontiguousarray(np.concatenate([state.points[keep], batch])),
-            metric=support.metric,
-            backend=support.backend,
-            min_pts=support.min_pts,
-            min_cluster_size=support.min_cluster_size,
-            allow_single_cluster=support.allow_single_cluster,
+            min_pts=state.min_pts,
+            min_cluster_size=state.min_cluster_size,
+            allow_single_cluster=state.allow_single_cluster,
+            method="memogfk",
+            metric=state.metric,
+            backend=state.backend,
             num_threads=num_threads,
+            memory_budget=None,
+            leaf_size=SERVING_LEAF_SIZE,
             cut_cache_size=state._cut_capacity,
         )
+    if support is None:
+        support = _build_support(state, num_threads)
+    dying_stable = support.order[idx]
+    dying_base = dying_stable[dying_stable < support.n_base]
+    dying_buffer = dying_stable[dying_stable >= support.n_base]
 
-    eff_new = min(support.min_pts, n_new)
-    if eff_new != min(support.min_pts, n_old):
+    eff_new = min(state.min_pts, n_new)
+    if eff_new != min(state.min_pts, n_old):
         hit = keep
     else:
         # With k fixed, a survivor's k-th distance can only move when a
@@ -693,14 +580,8 @@ def _update(
     )
     extra_u, extra_v, extra_w = _buffer_winners(support, num_threads)
     return _assemble(
-        support,
-        data,
-        serving,
-        extra_u,
-        extra_v,
-        extra_w,
+        state, support, data, serving, extra_u, extra_v, extra_w,
         num_threads=num_threads,
-        cut_cache_size=state._cut_capacity,
     )
 
 

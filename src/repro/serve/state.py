@@ -46,7 +46,9 @@ from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.dendrogram.condensed import CondensedTree, condense_dendrogram
 from repro.dendrogram.structure import Dendrogram
+from repro.dendrogram.topdown import dendrogram_topdown
 from repro.hdbscan.api import hdbscan
+from repro.mst.canonical import canonical_mst_arrays
 from repro.resilience.checkpoint import (
     ENGINE_VERSION,
     build_fingerprint,
@@ -89,12 +91,18 @@ _COMPARED_FIELDS = (
 class FitState:
     """Read-only artifacts of one HDBSCAN* fit plus the zero-refit read side.
 
-    Construct via :func:`fit_state` (run a fit) or :func:`load_state`
-    (restore a saved one); the constructor itself only wires already-built
-    parts together.  All array attributes are treated as immutable — the
-    read side never writes to them, which is what makes one state safe to
-    share across the concurrent request handlers of
+    Construct via :func:`fit_state` (run a fit), :func:`load_state` (restore
+    a saved one) or the dynamic engine (:func:`repro.dynamic.fit_dynamic`,
+    :func:`repro.dynamic.update_batch`); the constructor itself only wires
+    already-built parts together.  All array attributes are treated as
+    immutable — the read side never writes to them, which is what makes one
+    state safe to share across the concurrent request handlers of
     :class:`repro.serve.server.ServingEngine`.
+
+    Every state of an exact backend is updatable.  The dynamic engine's
+    repair support is not part of the state: it is built from the points
+    and core distances on the first update, or on the first read of
+    :data:`repro.dynamic.SUPPORT_ATTR`.
     """
 
     def __init__(
@@ -137,10 +145,24 @@ class FitState:
         self._backend = resolve_backend(backend) if tree is None else None
         self._lock = threading.Lock()
         self._cuts: "OrderedDict[tuple, object]" = OrderedDict()
-        self._cut_capacity = max(int(cut_cache_size), 1)
+        self._cut_capacity = int(cut_cache_size)
         self._cut_hits = 0
         self._cut_misses = 0
         self._predict_tables = None
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks.  The dynamic
+        # engine's repair support is the one built on first read; the import
+        # is lazy so read-only deployments never load the engine.
+        from repro.dynamic.engine import SUPPORT_ATTR, _build_support
+
+        if name != SUPPORT_ATTR:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        support = _build_support(self)
+        setattr(self, name, support)
+        return support
 
     # -- basic accessors -----------------------------------------------------
 
@@ -384,41 +406,106 @@ def fit_state(
     and refit-free.  The fit itself goes through the full
     :func:`repro.hdbscan.api.hdbscan` pipeline, so every engine knob
     (``metric``/``backend``/``memory_budget``/checkpointing/fault policy)
-    behaves exactly as it does there.  Requires at least two points — a
-    serving state for a single point has no hierarchy to cut.
+    behaves exactly as it does there.  The MST is stored in the canonical
+    normal form of :func:`repro.mst.canonical_mst_arrays`, so for the exact
+    methods the state is byte-identical to
+    :func:`repro.dynamic.fit_dynamic`'s and can be updated directly.
+    Requires at least two points and ``min_pts <= n`` — a serving state for
+    a single point has no hierarchy to cut.
     """
     data = as_points(points, min_points=2)
-    result = hdbscan(
+    n = int(data.shape[0])
+    if not 1 <= int(min_pts) <= n:
+        raise InvalidParameterError(f"minPts must be in [1, {n}], got {min_pts}")
+    return _fit(
         data,
         min_pts=int(min_pts),
+        min_cluster_size=min_cluster_size,
+        allow_single_cluster=allow_single_cluster,
         method=method,
         metric=metric,
         backend=backend,
-        memory_budget=memory_budget,
         num_threads=num_threads,
+        memory_budget=memory_budget,
+        leaf_size=leaf_size,
+        cut_cache_size=cut_cache_size,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         max_retries=max_retries,
         task_timeout=task_timeout,
         **method_kwargs,
     )
+
+
+def _fit(
+    data: np.ndarray,
+    *,
+    min_pts: int,
+    min_cluster_size: int,
+    allow_single_cluster: bool,
+    method: str,
+    metric: MetricLike,
+    backend: BackendLike,
+    num_threads: Optional[int],
+    memory_budget: BudgetLike,
+    leaf_size: int,
+    cut_cache_size: int,
+    **hdbscan_kwargs,
+) -> FitState:
+    """The one cold fit behind :func:`fit_state` and the dynamic engine.
+
+    Validates the parameters before any work, runs :func:`hdbscan` without
+    its dendrogram, puts the MST into canonical form and builds the top-down
+    dendrogram, the condensed tree and the serving tree from it.  Accepts
+    any ``n >= 0``, clamping ``minPts`` to ``min(min_pts, n)`` like the
+    HDBSCAN* drivers do; the state records the requested ``min_pts``.
+    """
+    if int(min_pts) < 1:
+        raise InvalidParameterError("min_pts must be >= 1")
     if int(min_cluster_size) < 1:
         raise InvalidParameterError("min_cluster_size must be >= 1")
-    condensed = condense_dendrogram(result.dendrogram, int(min_cluster_size))
-    # The serving tree is rebuilt at a k-NN-friendly leaf size and annotated
-    # with the fitted core distances, so approximate_predict queries prune
-    # with the same bounds the fit used.
-    tree = KDTree(data, leaf_size=int(leaf_size), metric=metric, backend=backend)
-    tree.annotate_core_distances(result.core_distances)
-    mst_u, mst_v, mst_w = result.mst.edges.as_arrays()
+    if int(cut_cache_size) < 1:
+        raise InvalidParameterError("cut_cache_size must be >= 1")
+    n = int(data.shape[0])
+    if n >= 2:
+        result = hdbscan(
+            data,
+            min_pts=min(int(min_pts), n),
+            method=method,
+            compute_dendrogram=False,
+            metric=metric,
+            backend=backend,
+            memory_budget=memory_budget,
+            num_threads=num_threads,
+            **hdbscan_kwargs,
+        )
+        core_distances = np.asarray(result.core_distances, dtype=np.float64)
+        mst_u, mst_v, mst_w = canonical_mst_arrays(
+            *result.mst.edges.as_arrays(), n, num_threads=num_threads
+        )
+    else:
+        # No edges, and minPts clamps to n <= 1, whose k-th neighbour is
+        # the point itself at distance zero.
+        core_distances = np.zeros(n, dtype=np.float64)
+        mst_u, mst_v = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        mst_w = np.empty(0, dtype=np.float64)
+    tree = dendrogram = condensed = None
+    if n:
+        # The serving tree is rebuilt at a k-NN-friendly leaf size and
+        # annotated with the fitted core distances, so approximate_predict
+        # queries prune with the same bounds the fit used.
+        tree = KDTree(data, leaf_size=int(leaf_size), metric=metric, backend=backend)
+        tree.annotate_core_distances(core_distances)
+        dendrogram = dendrogram_topdown((mst_u, mst_v, mst_w), n)
+        condensed = condense_dendrogram(dendrogram, int(min_cluster_size))
     return FitState(
         points=data,
         tree=tree,
-        core_distances=np.asarray(result.core_distances, dtype=np.float64),
+        core_distances=core_distances,
         mst_u=mst_u,
         mst_v=mst_v,
         mst_w=mst_w,
-        dendrogram=result.dendrogram,
+        dendrogram=dendrogram,
         condensed=condensed,
         min_pts=int(min_pts),
         min_cluster_size=int(min_cluster_size),
@@ -437,6 +524,8 @@ def fit_state(
             leaf_size=leaf_size,
         ),
         cut_cache_size=cut_cache_size,
+        metric=metric,
+        backend=backend,
     )
 
 
@@ -486,6 +575,8 @@ def load_state(
     computed under different geometry.  (The CLI maps this error to exit
     code 2.)
     """
+    if int(cut_cache_size) < 1:
+        raise InvalidParameterError("cut_cache_size must be >= 1")
     meta, arrays = _load_arrays(path)
     if meta.get("format") != STATE_FORMAT:
         raise FitStateError(
@@ -545,6 +636,8 @@ def load_state(
         leaf_size = int(fingerprint["leaf_size"])
         min_pts = int(fingerprint["min_pts"])
         min_cluster_size = int(fingerprint["min_cluster_size"])
+        if min_cluster_size < 1:
+            raise ValueError(f"min_cluster_size {min_cluster_size} < 1")
         allow_single_cluster = bool(fingerprint["allow_single_cluster"])
         dendrogram = Dendrogram.from_state_arrays(
             {

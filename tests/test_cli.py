@@ -279,6 +279,14 @@ class TestServeCli:
         assert main(["serve", str(path), "--save", str(state_file)]) == 0
         return state_file
 
+    def test_cache_size_below_one_is_a_usage_error(self, csv_points, capsys):
+        path, _ = csv_points
+        for size in ("0", "-3"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", str(path), "--cache-size", size])
+            assert exit_info.value.code == 2
+            assert "--cache-size" in capsys.readouterr().err
+
     def test_fit_and_save_then_load_and_answer(self, csv_points, tmp_path):
         import json
 

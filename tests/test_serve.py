@@ -10,6 +10,7 @@ buffer-release behaviours the issue gates are covered alongside.
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,3 +341,45 @@ class TestPostFitBufferRelease:
         cut = fitted.recut(epsilon=0.3)
         unbudgeted = fit_state(points, min_pts=MIN_PTS).recut(epsilon=0.3)
         assert cut.labels.tobytes() == unbudgeted.labels.tobytes()
+
+
+class TestValidationBeforeWork:
+    """Bad serving parameters are refused before any fitting, never clamped."""
+
+    def test_min_cluster_size_is_checked_before_the_fit(self, points):
+        with mock.patch(
+            "repro.serve.state.hdbscan",
+            side_effect=AssertionError("fitted before validating"),
+        ):
+            with pytest.raises(InvalidParameterError, match="min_cluster_size"):
+                fit_state(points, min_pts=MIN_PTS, min_cluster_size=0)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_cut_cache_size_is_not_clamped(self, points, state, tmp_path, size):
+        from repro.dynamic import fit_dynamic
+
+        with mock.patch(
+            "repro.serve.state.hdbscan",
+            side_effect=AssertionError("fitted before validating"),
+        ):
+            with pytest.raises(InvalidParameterError, match="cut_cache_size"):
+                fit_state(points, min_pts=MIN_PTS, cut_cache_size=size)
+            with pytest.raises(InvalidParameterError, match="cut_cache_size"):
+                fit_dynamic(points, min_pts=MIN_PTS, cut_cache_size=size)
+        path = state.save(tmp_path / "fit.npz")
+        with pytest.raises(InvalidParameterError, match="cut_cache_size"):
+            load_state(path, cut_cache_size=size)
+
+    def test_loaded_min_cluster_size_below_one_is_refused(self, state, tmp_path):
+        path = state.save(tmp_path / "fit.npz")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("__meta__")[()]))
+        meta["fingerprint"]["min_cluster_size"] = 0
+        np.savez(path, __meta__=json.dumps(meta), **arrays)
+        with pytest.raises(FitStateError, match="min_cluster_size"):
+            load_state(path)
+
+    def test_min_pts_above_n_is_rejected(self, points):
+        with pytest.raises(InvalidParameterError, match="minPts"):
+            fit_state(points[:4], min_pts=5)
