@@ -6,8 +6,9 @@ This driver measures the two hot stages downstream of the spatial engine:
   kd-tree evaluated through the batched size-class kernel
   (:func:`repro.wspd.bccp.bccp_batch` via the array-backed
   :class:`~repro.wspd.bccp.BCCPCache`); its time is recorded, and the
-  winners of up to 500 sampled pairs must equal an inline brute force over
-  the two nodes' points;
+  winners of up to 500 sampled pairs must equal an inline exact brute
+  force over the two nodes' points — on the points and on a copy shifted
+  by ``1e6``, where the expansion-scored argmin would pick wrong winners;
 * the **dendrogram build** — the array union-find merge sweep of
   :func:`repro.dendrogram.sequential.dendrogram_sequential` against the
   historical per-edge dict-and-``add_internal`` loop (reproduced here
@@ -88,43 +89,55 @@ def dendrogram_sequential_reference(edge_list, num_points, start=0):
 #: WSPD pairs re-checked against the inline brute-force BCCP.
 IDENTITY_SAMPLE = 500
 
+#: Translation of the second checked copy: large enough that the BLAS
+#: expansion's cancellation error exceeds the point spacing.
+SHIFT = 1e6
 
-def test_batched_bccp_phase(benchmark):
-    """Batched BCCP phase time, and its winners equal brute force."""
-    n = scaled(HEADLINE_N)
-    points = np.random.default_rng(0).random((n, 2))
+
+def _wspd_bccp(points):
+    """The tree, its WSPD pairs and their batched winners (timed)."""
     tree = KDTree(points, leaf_size=1)
-    flat = tree.flat
     pair_a, pair_b = compute_wspd_ids(tree)
+    start = time.perf_counter()
+    winners = BCCPCache(tree).get_batch(pair_a, pair_b)
+    return tree, pair_a, pair_b, winners, time.perf_counter() - start
 
-    def measure():
-        cache = BCCPCache(tree)
-        start = time.perf_counter()
-        point_a, point_b, weights = cache.get_batch(pair_a, pair_b)
-        return point_a, point_b, weights, time.perf_counter() - start
 
-    point_a, point_b, weights, batched = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-
-    # Brute force per sampled pair: the row-major first minimum of the dense
-    # |A| x |B| distance matrix, re-evaluated with the exact pair kernel.
+def _assert_exact_winners(tree, pair_a, pair_b, winners):
+    """Sampled pairs: the winner is the row-major first candidate whose
+    exact weight is the pair's exact minimum, with that weight."""
+    flat = tree.flat
     sample = np.random.default_rng(1).choice(
         pair_a.size, size=min(IDENTITY_SAMPLE, pair_a.size), replace=False
     )
     for i in sample.tolist():
         ia = flat.point_indices(pair_a[i])
         ib = flat.point_indices(pair_b[i])
-        scores = flat.metric.cross_distances(points[ia], points[ib])
-        r, c = divmod(int(np.argmin(scores)), scores.shape[1])
-        exact = flat.metric.exact_edge_weights(points, [ia[r]], [ib[c]])[0]
-        assert (ia[r], ib[c], exact) == (point_a[i], point_b[i], weights[i]), (
-            "batched BCCP kernel diverged from brute force"
+        u, v = np.repeat(ia, ib.size), np.tile(ib, ia.size)
+        exact = flat.metric.exact_edge_weights(flat.points, u, v)
+        first = int(np.flatnonzero(exact == exact.min())[0])
+        got = tuple(column[i] for column in winners)
+        assert (u[first], v[first], exact[first]) == got, (
+            "batched BCCP kernel diverged from the exact brute force"
         )
+    return sample.size
+
+
+def test_batched_bccp_phase(benchmark):
+    """Batched BCCP phase time, and its winners equal brute force."""
+    n = scaled(HEADLINE_N)
+    points = np.random.default_rng(0).random((n, 2))
+    tree, pair_a, pair_b, winners, batched = benchmark.pedantic(
+        _wspd_bccp, args=(points,), rounds=1, iterations=1
+    )
+    checked = _assert_exact_winners(tree, pair_a, pair_b, winners)
+    shifted = _wspd_bccp(points + SHIFT)
+    checked_shifted = _assert_exact_winners(*shifted[:4])
 
     print(
         f"\n[edge-pipeline] BCCP phase n={n} pairs={pair_a.size}: "
-        f"batched {batched:.3f}s; {sample.size} sampled pairs equal brute force"
+        f"batched {batched:.3f}s; {checked} sampled pairs equal brute force "
+        f"(and {checked_shifted} of the copy shifted by {SHIFT:g})"
     )
     _record(
         "bccp_phase",

@@ -17,13 +17,14 @@ backend falls back to the metric's own NumPy kernels, so custom
 
 Precision notes: the jitted Euclidean kernel accumulates squared coordinate
 differences directly (difference-and-norm), which is *more* accurate than the
-BLAS expansion trick the NumPy kernels use but not bit-identical to it.  The
-quantities computed here are only ever used to *select* winners (BCCP argmin
-rows, k-NN neighbour sets); the reported MST edge weights always come from
-the shared exact float64 re-evaluation, so exact float64 results agree with
-the NumPy backend whenever the selection is unambiguous (ties at the level of
-the expansion's rounding are the only way to differ, and the conformance
-matrix pins agreement on its datasets).
+BLAS expansion trick the NumPy kernels use but not bit-identical to either
+it or the exact :meth:`Metric.diff_norms` kernel.  So the BCCP scan works
+with a certified relative band around each distance: it flags every pair
+whose first minimum it cannot certify to be the exact-rule winner, the
+shared NumPy exact step resolves those, and the reported weights come from
+the exact float64 kernel.  Exact float64 results therefore always agree
+with the NumPy backend, winner identity included.  k-NN neighbour sets are
+selected here without such a band.
 
 Importing this module raises ``ImportError`` when numba is absent; only
 :mod:`repro.core.backend` imports it, inside a guard.
@@ -83,7 +84,7 @@ def cross_distances_kernel(a, b, mode, p, out):
 @njit(**_JIT)
 def bccp_pairs_kernel(
     points,
-    perm,
+    index,
     start_a,
     size_a,
     start_b,
@@ -92,39 +93,66 @@ def bccp_pairs_kernel(
     use_cd,
     mode,
     p,
+    factor,
+    offset,
     out_pa,
     out_pb,
+    flagged,
 ):
-    """BCCP (or BCCP* when ``use_cd``) winners of a chunk of node pairs.
+    """BCCP (or BCCP* when ``use_cd``) winners of a chunk of window pairs.
 
-    For each pair ``r`` the loop scans ``|A_r| * |B_r|`` candidates and keeps
-    the strict row-major first minimum — the same winner the padded-tensor
-    ``argmin`` of the NumPy backend selects — without ever materializing the
-    distance tensor, which is where the compiled speedup comes from.
+    Pair ``r`` is the cross product of ``index[start_a[r] : + size_a[r]]``
+    and the ``b`` window, scanned row-major without ever materializing the
+    distance tensor.  Each candidate's value is the certified upper bound
+    ``max(dist * factor + offset, cd_u, cd_v)`` on its exact weight; when
+    the core-distance term reaches it, the bound *is* the exact weight.
+    The scan keeps the strict row-major first minimum and sets
+    ``flagged[r]`` when another candidate's lower bound reaches it (only
+    candidates not exact already count once the minimum itself is exact):
+    exactly the pairs whose winner the scan cannot certify.  With
+    ``factor = 1, offset = 0`` it is the plain first-minimum scan.
     ``core_distances`` must be a length-1 dummy when ``use_cd`` is false.
     """
     for r in range(start_a.shape[0]):
         best = np.inf
+        best_exact = False
+        rival = np.inf
+        rival_open = np.inf
         best_u = np.int64(-1)
         best_v = np.int64(-1)
         for ii in range(size_a[r]):
-            u = perm[start_a[r] + ii]
+            u = index[start_a[r] + ii]
             cd_u = core_distances[u] if use_cd else 0.0
             for jj in range(size_b[r]):
-                v = perm[start_b[r] + jj]
-                dist = _point_distance(points, u, points, v, mode, p)
-                if use_cd:
-                    if cd_u > dist:
-                        dist = cd_u
-                    cd_v = core_distances[v]
-                    if cd_v > dist:
-                        dist = cd_v
-                if dist < best:
-                    best = dist
+                v = index[start_b[r] + jj]
+                bound = (
+                    _point_distance(points, u, points, v, mode, p) * factor
+                    + offset
+                )
+                cd = cd_u
+                if use_cd and core_distances[v] > cd:
+                    cd = core_distances[v]
+                exact = cd >= bound
+                if exact:
+                    bound = cd
+                if bound < best:
+                    if best < rival:
+                        rival = best
+                    if not best_exact and best < rival_open:
+                        rival_open = best
+                    best = bound
+                    best_exact = exact
                     best_u = u
                     best_v = v
+                else:
+                    if bound < rival:
+                        rival = bound
+                    if not exact and bound < rival_open:
+                        rival_open = bound
         out_pa[r] = best_u
         out_pb[r] = best_v
+        limit = (best * factor + offset) * factor + offset
+        flagged[r] = (rival_open if best_exact else rival) <= limit
 
 
 @njit(**_JIT)
@@ -178,9 +206,11 @@ def warmup(dtype=np.float64) -> None:
     two = np.full(1, 2, dtype=np.int64)
     pa = np.empty(1, dtype=np.int64)
     pb = np.empty(1, dtype=np.int64)
+    flagged = np.zeros(1, dtype=np.bool_)
     cd = np.zeros(2, dtype=dtype)
     bccp_pairs_kernel(
-        pts, perm, one, two, one, two, cd, True, MODE_EUCLIDEAN, 2.0, pa, pb
+        pts, perm, one, two, one, two, cd, True, MODE_EUCLIDEAN, 2.0,
+        1.0, 0.0, pa, pb, flagged,
     )
     oidx = np.empty((2, 1), dtype=np.int64)
     odist = np.empty((2, 1), dtype=dtype)

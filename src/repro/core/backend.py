@@ -3,7 +3,7 @@
 The Metric refactor made distance computation a seam; this module makes the
 *implementation* of the hot kernels behind that seam pluggable.  A
 :class:`KernelBackend` bundles the three kernels the profile says dominate —
-the pairwise-distance block, the BCCP argmin inner loop, and the brute-force
+the pairwise-distance block, the BCCP inner loop, and the brute-force
 k-NN selection — together with a **scoring dtype**:
 
 * ``numpy`` — the default backend.  Pure delegation to the metric's own
@@ -21,14 +21,15 @@ k-NN selection — together with a **scoring dtype**:
   bandwidth-bound kernels, and only the surviving winners (MST edge
   endpoints, selected neighbours) are re-evaluated in exact float64.
 
-Contract: backends whose scoring dtype is float64 are **exact** — they must
-select the same trees the default backend selects (pinned by the conformance
-matrix; only exact ties at the level of kernel rounding could differ, and the
-reported edge weights always come from the shared exact float64 kernel
-either way).  Lowered (float32-scoring) backends are contractually
-*approximate*: selections may differ within float32 resolution, and the
-conformance matrix gates them with bounded weight/edge agreement instead of
-byte-identity — the same shape of guarantee the (1+eps) subsystem uses.
+Contract: backends whose scoring dtype is float64 are **exact** — every
+BCCP winner is the row-major first candidate attaining the pair's exact
+minimum (see :mod:`repro.wspd.bccp`), so they select the trees the default
+backend selects, winner identity included, and the reported edge weights
+come from the shared exact float64 kernel.  Lowered (float32-scoring)
+backends are contractually *approximate*: selections may differ within
+float32 resolution, and the conformance matrix gates them with bounded
+weight/edge agreement instead of byte-identity — the same shape of
+guarantee the (1+eps) subsystem uses.
 
 Selection order: per-call ``backend=`` argument > the ambient execution
 context (:func:`repro.core.context.use_context`) > the ``REPRO_BACKEND``
@@ -37,6 +38,7 @@ environment variable read once at import > ``numpy``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Optional, Tuple, Union
 
@@ -84,6 +86,74 @@ def metric_mode(metric: Metric) -> Optional[Tuple[int, float]]:
     if type(metric) is MinkowskiMetric:
         return _numba_kernels.MODE_MINKOWSKI, float(metric.p)
     return None
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _window_ids(index, start, size, width) -> Tuple[np.ndarray, np.ndarray]:
+    """``(g, width)`` ids of index windows padded to ``width`` (overhang
+    slots repeat the window's last member) and their validity mask."""
+    col = np.arange(width, dtype=np.int64)[None, :]
+    ids = index[start[:, None] + np.minimum(col, size[:, None] - 1)]
+    return ids, col < size[:, None]
+
+
+def _certified_band(metric: Metric, dim: int, pts_a=None, pts_b=None):
+    """``(factor, offset)`` bounding a scoring kernel against the exact one.
+
+    A candidate's score ``s`` and its exact :meth:`Metric.diff_norms` value
+    ``x`` satisfy ``x <= s * factor + offset`` and ``s <= x * factor +
+    offset``.  Given the padded ``(g, p, d)`` blocks, the band covers the
+    metric's NumPy block kernel over them: for Euclidean, the BLAS
+    expansion's squared-domain error ``(2d + 8) eps (|a|^2 + |b|^2)``
+    (bounded through the blocks' largest coordinate) after the square root,
+    with margin; the per-axis kernels only sum the same rounded terms in
+    another order, a relative error.  Without blocks it covers the compiled
+    difference-and-norm scan (relative too).  The offset floor bounds
+    subnormal rounding, which a root of order ``p`` amplifies.
+    """
+    c = 16.0 * dim + 64.0
+    if pts_a is not None and isinstance(metric, EuclideanMetric):
+        scale = float(max(pts_a.max(), -pts_a.min(), pts_b.max(), -pts_b.min()))
+        norms = 2.0 * dim * scale * scale  # bounds |a|^2 + |b|^2
+        return 1.0, 2.0 * math.sqrt(c * (_EPS * norms + _TINY))
+    euclidean = isinstance(metric, EuclideanMetric)
+    order = 2.0 if euclidean else getattr(metric, "p", 1.0)
+    offset = 0.0 if order == 1.0 else 2.0 * (c * _TINY) ** (1.0 / order)
+    return 1.0 + c * _EPS, offset
+
+
+def _exact_first_minimum(
+    metric, points, core_distances, score, in_band, idx_a, idx_b, factor, offset
+) -> np.ndarray:
+    """Flat row-major position of each pair's exact-minimum winner, over
+    the padded blocks of some pairs of a class.
+
+    ``in_band`` marks the candidates that can attain, or tie, their pair's
+    exact minimum.  One whose core distance reaches its certified distance
+    bound ``score * factor + offset`` is exact already: its value *is*
+    ``max(cd_u, cd_v)``.  The others are evaluated with
+    :meth:`Metric.exact_edge_weights`.
+    """
+    pair, pos_a, pos_b = np.nonzero(in_band)
+    u, v = idx_a[pair, pos_a], idx_b[pair, pos_b]
+    if core_distances is None:
+        exact = np.zeros(pair.size)
+    else:
+        exact = np.maximum(core_distances[u], core_distances[v])
+    open_ = score[pair, pos_a, pos_b] * factor + offset > exact
+    exact[open_] = metric.exact_edge_weights(
+        points, u[open_], v[open_], core_distances
+    )
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    counts = np.diff(np.append(starts, pair.size))
+    at_min = exact == np.repeat(np.minimum.reduceat(exact, starts), counts)
+    first = np.minimum.reduceat(
+        np.where(at_min, np.arange(pair.size), pair.size), starts
+    )
+    return pos_a[first] * score.shape[2] + pos_b[first]
 
 
 class KernelBackend:
@@ -153,7 +223,7 @@ class KernelBackend:
         self,
         metric: Metric,
         points: np.ndarray,
-        perm: np.ndarray,
+        index: np.ndarray,
         core_distances: Optional[np.ndarray],
         start_a: np.ndarray,
         size_a: np.ndarray,
@@ -166,44 +236,73 @@ class KernelBackend:
         out_pb: np.ndarray,
         workspace,
     ) -> None:
-        """Resolve one padded size class of BCCP node pairs.
+        """Resolve one padded size class of BCCP pairs.
 
-        ``points`` is the tree's *scoring* array (float32 under a lowered
-        backend); winners land in ``out_pa`` / ``out_pb`` at ``rows`` and the
-        caller re-evaluates their weights exactly in float64.  The NumPy
-        implementation is the padded-tensor argmin the engine has always
-        used: padded slots repeat the node's first point and are masked to
-        ``+inf``, so the row-major argmin matches a dense per-pair
-        ``cross_distances`` matrix's tie-breaking bit for bit.
+        Pair ``r`` is the cross product of the index windows
+        ``index[start_a[r] : start_a[r] + size_a[r]]`` and likewise for
+        ``b``, scanned in row-major order.  ``points`` is the *scoring* array
+        (float32 under a lowered backend); winners land in ``out_pa`` /
+        ``out_pb`` at ``rows`` and the caller re-evaluates their weights
+        exactly in float64.
+
+        The NumPy implementation scores every padded block with the metric's
+        batched tensor kernel and takes the mutual reachability with the
+        core distances (``+inf`` at padded slots, which repeat the window's
+        last member).  On an exact backend every exact value lies within the
+        certified band of :func:`_certified_band` around its score, so the
+        row-major argmin is the winner when no other candidate of its pair
+        lies within the band of it; the few pairs where one does go to
+        :func:`_exact_first_minimum`.  Either way the winner is the
+        row-major first candidate attaining the pair's exact minimum.  A
+        lowered backend keeps the plain argmin of its float32 scores.
         """
         g = rows.size
-        cols_a = np.arange(p_a, dtype=np.int64)
-        cols_b = np.arange(p_b, dtype=np.int64)
-        mask_a = cols_a[None, :] >= size_a[:, None]
-        mask_b = cols_b[None, :] >= size_b[:, None]
-        idx_a = perm[start_a[:, None] + np.where(mask_a, 0, cols_a[None, :])]
-        idx_b = perm[start_b[:, None] + np.where(mask_b, 0, cols_b[None, :])]
-
+        idx_a, valid_a = _window_ids(index, start_a, size_a, p_a)
+        idx_b, valid_b = _window_ids(index, start_b, size_b, p_b)
         pts_a = points[idx_a]  # (g, p_a, d)
         pts_b = points[idx_b]  # (g, p_b, d)
-        # The metric's block kernel applies the same expansion, summation
-        # kernels and rounding as its scalar ``cross_distances`` (for
-        # Euclidean: einsum row norms, BLAS matmul cross terms, clamp, sqrt),
-        # so the minimized values — and therefore the argmin tie-breaking —
-        # agree with the dense per-pair matrix bit-for-bit.  The distance tensor —
-        # the largest temporary — lives in the calling thread's reusable
-        # workspace, so each pool worker allocates it once across all its
-        # class chunks.
-        dist = metric.block_cross_distances(pts_a, pts_b, workspace)
-        if core_distances is not None:
-            np.maximum(dist, core_distances[idx_a][:, :, None], out=dist)
-            np.maximum(dist, core_distances[idx_b][:, None, :], out=dist)
-        dist[np.broadcast_to(mask_a[:, :, None], dist.shape)] = np.inf
-        dist[np.broadcast_to(mask_b[:, None, :], dist.shape)] = np.inf
+        # The tensors live in the calling thread's reusable workspace (see
+        # ``Metric.block_cross_distances``).  Under core distances the raw
+        # scores stay intact for the exact step.
+        score = metric.block_cross_distances(pts_a, pts_b, workspace)
+        if core_distances is None:
+            value = score
+            cd_a = np.where(valid_a, 0.0, np.inf)
+            cd_b = np.where(valid_b, 0.0, np.inf)
+        else:
+            value = workspace.take("bccp.value", score.shape, dtype=score.dtype)
+            cd_a = np.where(valid_a, core_distances[idx_a], np.inf)
+            cd_b = np.where(valid_b, core_distances[idx_b], np.inf)
+        np.maximum(score, cd_a[:, :, None], out=value)
+        np.maximum(value, cd_b[:, None, :], out=value)
 
-        winners = np.argmin(dist.reshape(g, p_a * p_b), axis=1)
-        win_i, win_j = np.divmod(winners, p_b)
+        flat = value.reshape(g, p_a * p_b)
+        winners = flat.argmin(axis=1)
         arange_g = np.arange(g, dtype=np.int64)
+        if self.exact:
+            # ``value`` is the scored mutual reachability; every exact value
+            # lies within ``factor`` / ``offset`` of it, so only candidates
+            # within the band of the pair's minimum can attain (or tie) the
+            # exact minimum.  Alone in the band, the argmin is the winner.
+            factor, offset = _certified_band(
+                metric, points.shape[1], pts_a, pts_b
+            )
+            best = flat[arange_g, winners]
+            limit = ((best * factor + offset) * factor + offset)[:, None]
+            # A uint8 count is the fast one; it cannot wrap below 256 slots.
+            in_band = np.add.reduce(
+                flat <= limit,
+                axis=1,
+                dtype=np.uint8 if flat.shape[1] < 256 else np.int64,
+            )
+            ambiguous = np.flatnonzero(in_band > 1)
+            if ambiguous.size:
+                winners[ambiguous] = _exact_first_minimum(
+                    metric, points, core_distances, score[ambiguous],
+                    value[ambiguous] <= limit[ambiguous, :, None],
+                    idx_a[ambiguous], idx_b[ambiguous], factor, offset,
+                )
+        win_i, win_j = np.divmod(winners, p_b)
         out_pa[rows] = idx_a[arange_g, win_i]
         out_pb[rows] = idx_b[arange_g, win_j]
 
@@ -265,7 +364,7 @@ class NumbaKernelBackend(KernelBackend):
         self,
         metric: Metric,
         points: np.ndarray,
-        perm: np.ndarray,
+        index: np.ndarray,
         core_distances: Optional[np.ndarray],
         start_a: np.ndarray,
         size_a: np.ndarray,
@@ -281,26 +380,39 @@ class NumbaKernelBackend(KernelBackend):
         mode = metric_mode(metric)
         if mode is None:
             super().bccp_class(
-                metric, points, perm, core_distances, start_a, size_a,
+                metric, points, index, core_distances, start_a, size_a,
                 start_b, size_b, p_a, p_b, rows, out_pa, out_pb, workspace,
             )
             return
         # The compiled loop scans candidates directly: no padding, no
-        # distance tensor, same strict row-major first-minimum tie-breaking
-        # as the padded argmin.
+        # distance tensor.  On an exact backend it flags every pair whose
+        # certified minimum has a rival within the band, and the NumPy class
+        # kernel resolves those exactly.
         use_cd = core_distances is not None
         if use_cd:
             cd = np.ascontiguousarray(core_distances, dtype=points.dtype)
         else:
             cd = np.zeros(1, dtype=points.dtype)
+        factor, offset = _certified_band(metric, points.shape[1])
+        if not self.exact:
+            factor, offset = 1.0, 0.0
         chunk_pa = np.empty(rows.size, dtype=np.int64)
         chunk_pb = np.empty(rows.size, dtype=np.int64)
+        flagged = np.zeros(rows.size, dtype=np.bool_)
         _numba_kernels.bccp_pairs_kernel(
-            points, perm, start_a, size_a, start_b, size_b,
-            cd, use_cd, mode[0], mode[1], chunk_pa, chunk_pb,
+            points, index, start_a, size_a, start_b, size_b,
+            cd, use_cd, mode[0], mode[1], factor, offset,
+            chunk_pa, chunk_pb, flagged,
         )
         out_pa[rows] = chunk_pa
         out_pb[rows] = chunk_pb
+        if self.exact and flagged.any():
+            sub = np.flatnonzero(flagged)
+            super().bccp_class(
+                metric, points, index, core_distances, start_a[sub],
+                size_a[sub], start_b[sub], size_b[sub], p_a, p_b, rows[sub],
+                out_pa, out_pb, workspace,
+            )
 
     def knn_chunk(
         self, metric: Metric, queries: np.ndarray, data: np.ndarray, k: int

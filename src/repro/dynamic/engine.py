@@ -21,6 +21,9 @@ one-sided forms):
   per-point separation descent and against each other by a tiny WSPD of
   their own; a log-scheduled full rebuild folds the buffer in (or drops
   the tombstones) before either side grows past a fixed fraction of n;
+* every pair winner, base or buffer, comes from the cold fit's BCCP
+  kernel (:func:`repro.wspd.bccp.bccp_windows`, dead points masked by an
+  infinite core distance) unless the pair resolves at box level;
 * every update re-assembles the state once — exact candidate edge weights
   via :meth:`Metric.exact_edge_weights`, the canonical MST normal form of
   :func:`repro.mst.canonical_mst_arrays`, a fresh top-down dendrogram and
@@ -59,12 +62,10 @@ from repro.core.points import as_points
 from repro.dendrogram.condensed import condense_dendrogram
 from repro.dendrogram.topdown import dendrogram_topdown
 from repro.dynamic.spatial import (
-    alive_members,
     descend_singleton_pairs,
     live_cd_extrema,
     masked_pair_winners,
     node_any_flags,
-    segmented_min_mr,
     winner_beat_mask,
 )
 from repro.mst.canonical import canonical_mst_arrays
@@ -231,11 +232,12 @@ def _build_support(
     """Repair support for ``state``, from its points and core distances.
 
     Builds the leaf-size-1 base tree over the state's points, its WSPD and
-    every pair's exact-min winner (not the expansion-scored BCCP argmin:
-    every dynamic candidate carries its pair's exact minimum, which makes
-    the canonical filtration independent of the decomposition and is what
-    lets a repaired pair set reproduce a cold refit bitwise).  Only updates
-    need this, so it runs on a state's first update, not in the cold fit.
+    every pair's winner.  Every dynamic candidate, like every cold-fit one,
+    carries its pair's exact minimum (see :mod:`repro.wspd.bccp`), which
+    makes the canonical filtration independent of the decomposition and is
+    what lets a repaired pair set reproduce a cold refit bitwise.  Only
+    updates need this, so it runs on a state's first update, not in the
+    cold fit.
     """
     backend = _require_exact_backend(state.backend)
     data = state.points
@@ -254,8 +256,7 @@ def _build_support(
         )
     if pair_a.size:
         pair_u, pair_v, pair_w = masked_pair_winners(
-            base.flat, pair_a, pair_b, np.ones(n, dtype=bool), cds,
-            base.metric, num_threads,
+            base.flat, pair_a, pair_b, cds, num_threads
         )
     support = DynamicSupport(
         metric=state.metric,
@@ -316,9 +317,9 @@ def _assemble(
 
     Candidates are the cached base-pair winners plus the update's buffer
     winners; every value is an exact per-pair minimum from
-    :func:`repro.dynamic.spatial.segmented_min_mr` (row-wise kernel, so a
-    value is bitwise independent of when and in which batch it was
-    evaluated).  The union is canonicalized into the normal-form MST and
+    :func:`repro.wspd.bccp.bccp_windows` or a box-level resolution (row-wise
+    kernel, so a value is bitwise independent of when and in which batch it
+    was evaluated).  The union is canonicalized into the normal-form MST and
     rolled into a fresh dendrogram, condensed tree and serving state.
     """
     n = int(data.shape[0])
@@ -729,8 +730,8 @@ def _repair_base_pairs(
     redo_b = np.concatenate([pb[recompute_idx], new_b])
     if redo_a.size:
         redo_u, redo_v, redo_w = masked_pair_winners(
-            flat, redo_a, redo_b, alive,
-            support.stable_cd[:n_base], support.metric, num_threads,
+            flat, redo_a, redo_b,
+            np.where(alive, support.stable_cd[:n_base], np.inf), num_threads,
         )
     else:
         redo_u, redo_v = _EMPTY_I.copy(), _EMPTY_I.copy()
@@ -784,18 +785,15 @@ def _buffer_winners(
         q_idx, node_ids = descend_singleton_pairs(
             flat, points, cds, support.node_alive
         )
-        if q_idx.size:
-            b_counts, b_members = alive_members(
-                flat, node_ids, support.base_alive
-            )
-            win_u, win_v, win_w = segmented_min_mr(
-                support.stable_points, support.stable_cd, support.metric,
-                np.ones(q_idx.size, dtype=np.int64), buffer[q_idx],
-                b_counts, b_members,
-            )
-            out_u.append(win_u)
-            out_v.append(win_v)
-            out_w.append(win_w)
+        masked_cd = support.stable_cd.copy()
+        masked_cd[: support.n_base][~support.base_alive] = np.inf
+        win_u, win_v, win_w = masked_pair_winners(
+            flat, buffer[q_idx], node_ids, masked_cd, num_threads,
+            support.stable_points,
+        )
+        out_u.append(win_u)
+        out_v.append(win_v)
+        out_w.append(win_w)
     if buffer.size >= 2:
         side = KDTree(
             points, leaf_size=1, metric=support.metric, backend=support.backend
@@ -806,9 +804,7 @@ def _buffer_winners(
         )
         if pair_a.size:
             win_u, win_v, win_w = masked_pair_winners(
-                side.flat, pair_a, pair_b,
-                np.ones(buffer.size, dtype=bool), cds,
-                support.metric, num_threads,
+                side.flat, pair_a, pair_b, cds, num_threads
             )
             out_u.append(buffer[win_u])
             out_v.append(buffer[win_v])

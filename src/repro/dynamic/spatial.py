@@ -9,12 +9,15 @@ repair:
 
 * live per-node flags/extrema (one :meth:`FlatKDTree.node_value_ranges`
   sweep each) — the stale node boxes stay put, only the annotations move;
-* ragged *alive member* extraction for a batch of nodes;
-* a segmented masked BCCP: the exact minimum mutual-reachability pair over
-  the alive cross product of each (node, node) pair, evaluated with the
-  row-wise :meth:`Metric.exact_edge_weights` kernel — the same
-  :meth:`Metric.diff_norms` rows the k-NN fold reads core distances from, so
-  cached and recomputed values share one bitwise contract;
+* the pair winners, for (node, node) pairs and for (buffered point, node)
+  pairs: core-distance-dominated pairs resolve at box level (a point is a
+  zero-extent box), and the rest go to the engine's one BCCP kernel
+  (:func:`repro.wspd.bccp.bccp_windows`) with every dead point's core
+  distance set to ``+inf``, so no member list is ever expanded.  Its
+  winners carry their pair's *exact* minimum, from the row-wise
+  :meth:`Metric.exact_edge_weights` kernel — the same
+  :meth:`Metric.diff_norms` rows the k-NN fold reads core distances from,
+  so cached and recomputed values share one bitwise contract;
 * the winner *beat* test — a certified lower bound deciding whether a
   core-distance change anywhere in a pair could undercut its cached winner;
 * the singleton descent pairing each buffered point against the base tree
@@ -35,6 +38,7 @@ import numpy as np
 from repro.core.metric import Metric
 from repro.parallel.primitives import segment_ranges as _segment_ranges
 from repro.spatial.flat import FlatKDTree
+from repro.wspd.bccp import bccp_windows
 
 
 def node_any_flags(flat: FlatKDTree, point_mask: np.ndarray) -> np.ndarray:
@@ -61,254 +65,30 @@ def live_cd_extrema(
     return lo, hi
 
 
-def alive_members(
-    flat: FlatKDTree, node_ids: np.ndarray, alive: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Ragged alive-member lists for a batch of nodes.
-
-    Returns ``(counts, members)``: ``members`` concatenates, per node in
-    input order, the alive point indices of that node (in permutation
-    order); ``counts[i]`` is the number contributed by ``node_ids[i]``.
-    """
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    if node_ids.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    starts = flat.node_start[node_ids]
-    full = (flat.node_end[node_ids] - starts).astype(np.int64)
-    members = flat.perm[_segment_ranges(starts, full)]
-    if alive.all():
-        return full, members
-    owner = np.repeat(np.arange(node_ids.size, dtype=np.int64), full)
-    keep = alive[members]
-    members = members[keep]
-    counts = np.bincount(owner[keep], minlength=node_ids.size).astype(np.int64)
-    return counts, members
-
-
-def segmented_min_mr(
-    points: np.ndarray,
-    core_distances: np.ndarray,
+def _box_distance_hi(
     metric: Metric,
-    a_counts: np.ndarray,
-    a_members: np.ndarray,
-    b_counts: np.ndarray,
-    b_members: np.ndarray,
-    *,
-    chunk_elems: int = 1 << 21,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact minimum mutual-reachability pair per (ragged A, ragged B) pair.
-
-    Every dynamic candidate — cold fit, repair recompute, buffer coverage —
-    goes through this kernel, so each pair contributes its *exact* minimum:
-    :func:`repro.mst.canonical_mst_arrays` then yields the same filtration
-    for any covering decomposition, which is what makes incremental updates
-    byte-identical to a cold refit.  (An argmin under the expansion-style
-    scoring kernel alone may sit an ulp above the exact minimum, and which
-    candidate it picks depends on the decomposition — not reproducible
-    across updates.)
-
-    Evaluation is two-phase.  Phase 1 scores each pair's padded cross
-    product with the fast batched tensor kernel
-    (:meth:`Metric.block_cross_distances`, grouped in power-of-two size
-    classes like the BCCP kernel) and splits candidates with a certified
-    per-pair error band ``up(x)`` that provably covers the scoring kernel's
-    rounding: a candidate whose core-distance term reaches ``up(score)``
-    has *exact* value ``cd_ab`` and never needs evaluation (these are the
-    bulk of every core-distance-dominated pair, all tied at the same cd);
-    the remaining candidates survive only if their banded score reaches the
-    pair's certified ceiling.  Phase 2 re-evaluates the survivors
-    (typically one or two per pair) with the row-wise
-    :meth:`Metric.exact_edge_weights` kernel and takes the exact minimum.
-    The result is therefore bitwise independent of the chunking, the
-    scoring kernel's rounding, and the thread count.  Every pair must have
-    at least one member on each side.
-    """
-    from repro.parallel.pool import current_workspace
-
-    num = int(a_counts.shape[0])
-    win_u = np.empty(num, dtype=np.int64)
-    win_v = np.empty(num, dtype=np.int64)
-    win_w = np.empty(num, dtype=np.float64)
-    if num == 0:
-        return win_u, win_v, win_w
-    a_counts = np.asarray(a_counts, dtype=np.int64)
-    b_counts = np.asarray(b_counts, dtype=np.int64)
-    a_off = np.cumsum(a_counts) - a_counts
-    b_off = np.cumsum(b_counts) - b_counts
-    points = np.asarray(points, dtype=np.float64)
-    cds = np.asarray(core_distances, dtype=np.float64)
-    dim = int(points.shape[1])
-    eps = float(np.finfo(np.float64).eps)
-    expansion = metric.name == "euclidean"
-    p_order = float(getattr(metric, "p", 1.0))
-    # Certified scoring-vs-exact error bands.  Expansion scoring satisfies
-    # |score^2 - exact^2| <= E2 with E2 = (16*dim+64)*eps*(|a|^2+|b|^2), so in
-    # the value domain |score - exact| <= sqrt(E2max) for a per-pair bound
-    # E2max over member norms; S = 2*sqrt(E2max) leaves a 2x margin.  The
-    # per-axis scoring kernels accumulate in the same order as the row-wise
-    # exact kernel up to summation shape, bounded by a relative band; the
-    # factor 8 absorbs 1/(1-x) vs (1+x) asymmetry when inverting it.
-    direct_mult = 1.0 + 8.0 * 64.0 * max(p_order, 1.0) * dim * eps
-    e2_coeff = (16.0 * dim + 64.0) * eps
-    workspace = current_workspace()
-
-    # Group by padded size class so padding waste stays bounded, as in the
-    # batched BCCP kernel; results scatter back to the input pair order.
-    bits_a = np.ceil(np.log2(np.maximum(a_counts, 1))).astype(np.int64)
-    bits_b = np.ceil(np.log2(np.maximum(b_counts, 1))).astype(np.int64)
-    order = np.argsort(bits_a * 64 + bits_b, kind="stable")
-    sorted_key = (bits_a * 64 + bits_b)[order]
-    boundaries = np.flatnonzero(np.diff(sorted_key)) + 1
-    group_starts = np.concatenate([[0], boundaries, [order.size]])
-
-    for gidx in range(group_starts.size - 1):
-        rows_all = order[group_starts[gidx] : group_starts[gidx + 1]]
-        p_a = int(a_counts[rows_all].max())
-        p_b = int(b_counts[rows_all].max())
-        if p_a == 1 and p_b == 1:
-            # Singleton pairs: the lone candidate IS the winner — evaluate
-            # it exactly and skip the scoring machinery outright.
-            u = a_members[a_off[rows_all]]
-            v = b_members[b_off[rows_all]]
-            win_u[rows_all] = u
-            win_v[rows_all] = v
-            win_w[rows_all] = metric.exact_edge_weights(points, u, v, cds)
-            continue
-        chunk = max(1, chunk_elems // (p_a * p_b))
-        for lo in range(0, rows_all.size, chunk):
-            rows = rows_all[lo : lo + chunk]
-            g = int(rows.size)
-            ca, cb = a_counts[rows], b_counts[rows]
-
-            def padded(counts, offsets, members, width):
-                # Each row's members are contiguous in the concatenated
-                # member array, so padding is a clamped gather: overhang
-                # columns repeat the row's last member and are masked off.
-                col = np.arange(width, dtype=np.int64)
-                idx = offsets[:, None] + np.minimum(
-                    col[None, :], counts[:, None] - 1
-                )
-                return members[idx], col[None, :] < counts[:, None]
-
-            ids_a, valid_a = padded(ca, a_off[rows], a_members, p_a)
-            ids_b, valid_b = padded(cb, b_off[rows], b_members, p_b)
-            pts_a = np.ascontiguousarray(points[ids_a.ravel()]).reshape(
-                g, p_a, dim
-            )
-            pts_b = np.ascontiguousarray(points[ids_b.ravel()]).reshape(
-                g, p_b, dim
-            )
-            scores = metric.block_cross_distances(pts_a, pts_b, workspace)
-            # Per-pair certified band: up(x) >= x + (scoring error at x).
-            if expansion:
-                sq_a = np.einsum("gpd,gpd->gp", pts_a, pts_a)
-                sq_b = np.einsum("gqd,gqd->gq", pts_b, pts_b)
-                band = 2.0 * np.sqrt(
-                    e2_coeff
-                    * (
-                        np.where(valid_a, sq_a, 0.0).max(axis=1)
-                        + np.where(valid_b, sq_b, 0.0).max(axis=1)
-                    )
-                )
-            else:
-                band = None
-            # `hi` holds up(scores); `scores` is then overwritten in place
-            # with the scored mutual reachability (padded slots become +inf
-            # via the inf-padded 2D core-distance gathers, so no 3D validity
-            # mask is ever materialised).
-            hi = workspace.take("dyn.hi", scores.shape)
-            if expansion:
-                np.add(scores, band[:, None, None], out=hi)
-            else:
-                np.multiply(scores, direct_mult, out=hi)
-            cd_a2 = np.where(valid_a, cds[ids_a], np.inf)
-            cd_b2 = np.where(valid_b, cds[ids_b], np.inf)
-            mr = scores
-            np.maximum(mr, cd_a2[:, :, None], out=mr)
-            np.maximum(mr, cd_b2[:, None, :], out=mr)
-            # A candidate whose core-distance term certifiably dominates its
-            # distance (mr >= up(score) forces cd_ab = mr >= exact distance)
-            # has EXACT value cd_ab = mr — no evaluation needed.  These are
-            # the bulk of every core-distance-dominated pair (all tied at the
-            # same cd), so they must never reach phase 2.
-            dom = mr >= hi
-            np.copyto(hi, np.inf)
-            np.copyto(hi, mr, where=dom)
-            flat_hi = hi.reshape(g, -1)
-            cert_arg = flat_hi.argmin(axis=1)
-            m_cert = flat_hi[np.arange(g), cert_arg]
-            np.copyto(hi, mr)
-            np.copyto(hi, np.inf, where=dom)
-            m_unc_lo = flat_hi.min(axis=1)
-            if expansion:
-                ceiling = np.minimum(m_cert, m_unc_lo + band)
-                cutoff = ceiling + band
-            else:
-                ceiling = np.minimum(m_cert, m_unc_lo * direct_mult)
-                cutoff = ceiling * direct_mult
-            # `hi` has +inf at dominated and padded slots, so this selects
-            # exactly the uncertain candidates within band of the ceiling.
-            keep_g, keep_a, keep_b = np.nonzero(hi <= cutoff[:, None, None])
-            m_unc = np.full(g, np.inf)
-            first_u = np.zeros(g, dtype=np.int64)
-            first_v = np.zeros(g, dtype=np.int64)
-            if keep_g.size:
-                cand_u = ids_a[keep_g, keep_a]
-                cand_v = ids_b[keep_g, keep_b]
-                exact = metric.exact_edge_weights(points, cand_u, cand_v, cds)
-                starts = np.flatnonzero(
-                    np.concatenate(
-                        [np.ones(1, dtype=bool), keep_g[1:] != keep_g[:-1]]
-                    )
-                )
-                mins = np.minimum.reduceat(exact, starts)
-                counts_g = np.diff(np.append(starts, keep_g.size))
-                grp = np.repeat(
-                    np.arange(starts.size, dtype=np.int64), counts_g
-                )
-                at_min = np.where(
-                    exact == mins[grp],
-                    np.arange(keep_g.size, dtype=np.int64),
-                    keep_g.size,
-                )
-                first = np.minimum.reduceat(at_min, starts)
-                m_unc[keep_g[starts]] = mins
-                first_u[keep_g[starts]] = cand_u[first]
-                first_v[keep_g[starts]] = cand_v[first]
-            take_unc = m_unc <= m_cert
-            win_w[rows] = np.where(take_unc, m_unc, m_cert)
-            win_u[rows] = np.where(
-                take_unc, first_u, ids_a[np.arange(g), cert_arg // p_b]
-            )
-            win_v[rows] = np.where(
-                take_unc, first_v, ids_b[np.arange(g), cert_arg % p_b]
-            )
-    return win_u, win_v, win_w
-
-
-def _certified_box_gap_hi(
-    flat: FlatKDTree,
-    nodes_a: np.ndarray,
-    nodes_b: np.ndarray,
-    metric: Metric,
+    box_a: Tuple[np.ndarray, np.ndarray],
+    ids_a: np.ndarray,
+    box_b: Tuple[np.ndarray, np.ndarray],
+    ids_b: np.ndarray,
 ) -> np.ndarray:
-    """Certified upper bound on the max distance between two node boxes.
+    """Certified upper bound on the max distance between two boxes per pair.
 
-    Per axis, ``max|x_a - x_b|`` over the boxes is bounded by
-    ``max(hi_a - lo_b, hi_b - lo_a)`` in exact arithmetic; the final factor
-    absorbs the rounding of the float subtractions and of the norm
-    accumulation, so the returned value dominates every exact member
-    distance.  Boxes cover dead members too, which only loosens the bound.
+    A box source is a ``(lower, upper)`` pair of ``(m, d)`` arrays indexed
+    by ``ids`` — the node boxes of a tree, or ``(points, points)`` for
+    zero-extent point boxes.  Per axis, ``max|x_a - x_b|`` over the boxes is
+    bounded by ``max(hi_a - lo_b, hi_b - lo_a)`` in exact arithmetic; the
+    final factor absorbs the rounding of the float subtractions and of the
+    norm accumulation, so the returned value dominates every exact member
+    distance.  Node boxes cover dead members too, which only loosens it.
     """
     from repro.parallel.pool import current_workspace
 
-    num = int(nodes_a.shape[0])
-    dim = int(flat.node_lower.shape[1])
+    num = int(ids_a.shape[0])
+    dim = int(box_a[0].shape[1])
     eps = float(np.finfo(np.float64).eps)
     p_order = max(float(getattr(metric, "p", 2.0)), 2.0)
     factor = 1.0 + (8.0 * p_order * dim + 32.0) * eps
-    lower = np.ascontiguousarray(flat.node_lower, dtype=np.float64)
-    upper = np.ascontiguousarray(flat.node_upper, dtype=np.float64)
     out = np.empty(num, dtype=np.float64)
     workspace = current_workspace()
     chunk = 1 << 18
@@ -318,11 +98,11 @@ def _certified_box_gap_hi(
         g = workspace.take("dyn.box.g", (r, dim))
         t = workspace.take("dyn.box.t", (r, dim))
         u = workspace.take("dyn.box.u", (r, dim))
-        np.take(upper, nodes_a[sl], axis=0, out=g)
-        np.take(lower, nodes_b[sl], axis=0, out=t)
+        np.take(box_a[1], ids_a[sl], axis=0, out=g)
+        np.take(box_b[0], ids_b[sl], axis=0, out=t)
         np.subtract(g, t, out=g)
-        np.take(upper, nodes_b[sl], axis=0, out=t)
-        np.take(lower, nodes_a[sl], axis=0, out=u)
+        np.take(box_b[1], ids_b[sl], axis=0, out=t)
+        np.take(box_a[0], ids_a[sl], axis=0, out=u)
         np.subtract(t, u, out=t)
         np.maximum(g, t, out=g)
         np.maximum(g, 0.0, out=g)
@@ -331,85 +111,96 @@ def _certified_box_gap_hi(
     return out
 
 
-def _alive_cd_argmin(
-    flat: FlatKDTree, node_ids: np.ndarray, cds: np.ndarray, alive: np.ndarray
-) -> np.ndarray:
-    """Per node, the alive member (point index) with the smallest core
-    distance — first in permutation order on ties.  Every node must hold at
-    least one alive member."""
-    starts = flat.node_start[node_ids].astype(np.int64)
-    lens = (flat.node_end[node_ids] - starts).astype(np.int64)
+def _cd_argmin(flat: FlatKDTree, node_ids: np.ndarray, cds: np.ndarray) -> np.ndarray:
+    """Per node, the member (point index) with the smallest core distance —
+    first in permutation order on ties.  Dead members carry ``+inf``, and
+    every node must hold at least one live member."""
+    nodes, inverse = np.unique(node_ids, return_inverse=True)
+    starts = flat.node_start[nodes].astype(np.int64)
+    lens = (flat.node_end[nodes] - starts).astype(np.int64)
     spans = flat.perm[_segment_ranges(starts, lens)]
-    vals = np.where(alive[spans], cds[spans], np.inf)
+    vals = cds[spans]
     seg_starts = np.cumsum(lens) - lens
     mins = np.minimum.reduceat(vals, seg_starts)
-    grp = np.repeat(np.arange(node_ids.size, dtype=np.int64), lens)
+    grp = np.repeat(np.arange(nodes.size, dtype=np.int64), lens)
     at_min = np.where(
         vals == mins[grp], np.arange(vals.size, dtype=np.int64), vals.size
     )
     first = np.minimum.reduceat(at_min, seg_starts)
-    return spans[first]
+    return spans[first][inverse]
 
 
 def masked_pair_winners(
     flat: FlatKDTree,
     pair_a: np.ndarray,
     pair_b: np.ndarray,
-    alive: np.ndarray,
     core_distances: np.ndarray,
-    metric: Metric,
     num_threads,
+    points=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact minimum mutual-reachability winner per pair, ignoring tombstones.
+    """Exact minimum mutual-reachability winner per pair.
 
-    Core-distance-dominated pairs — where a certified upper bound on the
-    box-to-box distance stays below ``max(min alive cd A, min alive cd B)``
-    — resolve at box level: every candidate value is ``>= cdp`` by
-    definition of mutual reachability, and the per-side alive cd-argmin
-    members certifiably achieve exactly ``cdp``.  (With the repo's
-    reachability-aware WSPD most pairs are of this kind.)  The rest are
-    reduced to their ragged alive member lists and evaluated with
-    :func:`segmented_min_mr` — the single exact winner kernel of the dynamic
-    engine, so the recomputed values join the cached ones with the same
-    bitwise contract.  Both sides of every pair must hold at least one
-    alive point.
+    ``pair_b`` are node ids of ``flat``; so are ``pair_a``, or — given
+    ``points``, whose first ``flat.size`` rows are the tree's points — ids
+    of single points.  ``core_distances`` is indexed by point and holds
+    ``+inf`` at dead points, so that no dead candidate can win; every pair
+    must hold a live point on each side.
+
+    Core-distance-dominated pairs resolve at box level (a point is a
+    zero-extent box): when a certified upper bound on the box-to-box
+    distance stays below ``cdp = max(min cd A, min cd B)``, every candidate
+    value is ``>= cdp`` by definition of mutual reachability and the
+    per-side cd-argmin members achieve exactly ``cdp``.  (With the repo's
+    reachability-aware WSPD most pairs are of this kind.)  The rest go to
+    the one BCCP kernel, :func:`repro.wspd.bccp.bccp_windows`, as windows of
+    the tree permutation (one-point windows for points) — no member list is
+    ever expanded.
     """
     num = int(pair_a.shape[0])
-    if num == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-    pair_a = np.asarray(pair_a, dtype=np.int64)
-    pair_b = np.asarray(pair_b, dtype=np.int64)
-    cds = np.asarray(core_distances, dtype=np.float64)
-    cd_lo, _ = live_cd_extrema(flat, cds, alive)
-    cd_lo = np.asarray(cd_lo, dtype=np.float64)
-    cdp = np.maximum(cd_lo[pair_a], cd_lo[pair_b])
-    resolved = _certified_box_gap_hi(flat, pair_a, pair_b, metric) <= cdp
-
     win_u = np.empty(num, dtype=np.int64)
     win_v = np.empty(num, dtype=np.int64)
     win_w = np.empty(num, dtype=np.float64)
-
-    res = np.flatnonzero(resolved)
-    if res.size:
-        nodes = np.concatenate([pair_a[res], pair_b[res]])
-        uniq, inv = np.unique(nodes, return_inverse=True)
-        wit = _alive_cd_argmin(flat, uniq, cds, alive)[inv]
-        win_u[res] = wit[: res.size]
-        win_v[res] = wit[res.size :]
-        win_w[res] = cdp[res]
-
-    rest = np.flatnonzero(~resolved)
-    if rest.size:
-        a_counts, a_members = alive_members(flat, pair_a[rest], alive)
-        b_counts, b_members = alive_members(flat, pair_b[rest], alive)
-        ru, rv, rw = segmented_min_mr(
-            flat.points, cds, metric,
-            a_counts, a_members, b_counts, b_members,
+    if num == 0:
+        return win_u, win_v, win_w
+    cd_lo = flat.node_value_ranges(core_distances[: flat.size])[0]
+    nodes = (flat.node_lower, flat.node_upper)
+    if points is None:
+        box_a, cd_a = nodes, cd_lo[pair_a]
+    else:
+        box_a, cd_a = (points, points), core_distances[pair_a]
+    cdp = np.maximum(cd_a, cd_lo[pair_b])
+    res = _box_distance_hi(flat.metric, box_a, pair_a, nodes, pair_b) <= cdp
+    if res.any():
+        win_u[res] = (
+            _cd_argmin(flat, pair_a[res], core_distances)
+            if points is None
+            else pair_a[res]
         )
-        win_u[rest] = ru
-        win_v[rest] = rv
-        win_w[rest] = rw
+        win_v[res] = _cd_argmin(flat, pair_b[res], core_distances)
+        win_w[res] = cdp[res]
+    rest = np.flatnonzero(~res)
+    if rest.size:
+        start_b = flat.node_start[pair_b[rest]]
+        if points is None:
+            points, index = flat.points, flat.perm
+            start_a = flat.node_start[pair_a[rest]]
+            size_a = flat.node_end[pair_a[rest]] - start_a
+        else:
+            index = np.concatenate([flat.perm, pair_a[rest]])
+            start_a = flat.size + np.arange(rest.size, dtype=np.int64)
+            size_a = np.ones(rest.size, dtype=np.int64)
+        win_u[rest], win_v[rest], win_w[rest] = bccp_windows(
+            points,
+            index,
+            start_a,
+            size_a,
+            start_b,
+            flat.node_end[pair_b[rest]] - start_b,
+            core_distances,
+            metric=flat.metric,
+            backend=flat.backend,
+            num_threads=num_threads,
+        )
     return win_u, win_v, win_w
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.metric import MetricLike, resolve_metric
+from repro.core.metric import Metric, MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
@@ -29,21 +29,41 @@ def emst_bruteforce(
 
     Memory use is Θ(n^2); intended for reference/testing on small inputs.
     ``num_threads`` parallelizes the Kruskal weight sort; ``metric`` selects
-    the distance (Euclidean by default).  Every weight comes from the
-    metric's exact pair kernel, so the tree's weights are the bits every
-    other exact method reports.
+    the distance (Euclidean by default).
     """
     data = as_points(points, min_points=1)
+    return complete_graph_mst(
+        data, resolve_metric(metric), name="bruteforce", num_threads=num_threads
+    )
+
+
+def complete_graph_mst(
+    data: np.ndarray,
+    metric: Metric,
+    core_distances: Optional[np.ndarray] = None,
+    *,
+    name: str,
+    num_threads: Optional[int] = None,
+) -> EMSTResult:
+    """Kruskal over the complete graph: the brute-force EMST and HDBSCAN*
+    reference.
+
+    Every weight comes from the metric's exact pair kernel — the mutual
+    reachability distance when ``core_distances`` is given — so the tree's
+    weights are the bits every other exact method reports.
+    """
     n = data.shape[0]
     if n == 1:
-        return EMSTResult(EdgeList(), 1, "bruteforce")
+        return EMSTResult(EdgeList(), 1, name)
     current_tracker().add(float(n) * n, 1.0, phase="bruteforce")
-    resolved = resolve_metric(metric)
     upper_i, upper_j = np.triu_indices(n, k=1)
     weights = np.concatenate(
         [
-            resolved.exact_edge_weights(
-                data, upper_i[lo : lo + _CHUNK], upper_j[lo : lo + _CHUNK]
+            metric.exact_edge_weights(
+                data,
+                upper_i[lo : lo + _CHUNK],
+                upper_j[lo : lo + _CHUNK],
+                core_distances,
             )
             for lo in range(0, upper_i.size, _CHUNK)
         ]
@@ -51,4 +71,4 @@ def emst_bruteforce(
     order = np.argsort(weights, kind="stable")
     edges = zip(upper_i[order], upper_j[order], weights[order])
     tree_edges = kruskal(edges, n, num_threads=num_threads)
-    return EMSTResult(tree_edges, n, "bruteforce", stats={"distance_evaluations": n * n})
+    return EMSTResult(tree_edges, n, name, stats={"distance_evaluations": n * n})

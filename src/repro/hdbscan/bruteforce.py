@@ -11,14 +11,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.metric import MetricLike
+from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
+from repro.emst.brute import complete_graph_mst
 from repro.emst.result import EMSTResult
 from repro.hdbscan.core_distance import core_distances as compute_core_distances
-from repro.hdbscan.mutual_reachability import mutual_reachability_matrix
-from repro.mst.edges import EdgeList
-from repro.mst.kruskal import kruskal
-from repro.parallel.scheduler import current_tracker
 
 
 def hdbscan_mst_bruteforce(
@@ -28,23 +25,16 @@ def hdbscan_mst_bruteforce(
     core_dists: Optional[np.ndarray] = None,
     metric: MetricLike = None,
 ) -> EMSTResult:
-    """MST of the mutual reachability graph by Kruskal over all n(n-1)/2 edges."""
+    """MST of the mutual reachability graph by Kruskal over all n(n-1)/2
+    edges, each weighed by the exact pair kernel (see
+    :func:`repro.emst.brute.complete_graph_mst`)."""
     data = as_points(points, min_points=1)
     n = data.shape[0]
     if core_dists is None:
         core_dists = compute_core_distances(data, min(min_pts, n), metric=metric)
-    if n == 1:
-        return EMSTResult(EdgeList(), 1, "hdbscan-bruteforce")
-    current_tracker().add(float(n) * n, 1.0, phase="bruteforce")
-    matrix = mutual_reachability_matrix(data, core_dists, metric)
-    upper_i, upper_j = np.triu_indices(n, k=1)
-    weights = matrix[upper_i, upper_j]
-    order = np.argsort(weights, kind="stable")
-    edges = zip(upper_i[order], upper_j[order], weights[order])
-    tree_edges = kruskal(edges, n)
-    return EMSTResult(
-        tree_edges,
-        n,
-        "hdbscan-bruteforce",
-        stats={"distance_evaluations": n * n},
+    core_dists = np.asarray(core_dists, dtype=np.float64)
+    if core_dists.shape != (n,):
+        raise ValueError("core_distances must have one entry per point")
+    return complete_graph_mst(
+        data, resolve_metric(metric), core_dists, name="hdbscan-bruteforce"
     )

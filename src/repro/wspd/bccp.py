@@ -1,25 +1,33 @@
 """Bichromatic closest pair (BCCP) and its mutual-reachability variant (BCCP*).
 
-Given two kd-tree nodes ``A`` and ``B``, BCCP returns the pair of points
-``(u, v)`` with ``u in A`` and ``v in B`` minimizing the Euclidean distance;
-BCCP* minimizes the *mutual reachability* distance
-``max(cd(u), cd(v), d(u, v))`` instead.  Both are computed exactly by
-evaluating all ``|A| * |B|`` candidate distances, which is how the paper's
-implementation computes them as well (the theoretical subquadratic BCCP is
-impractical and unimplemented there too).
+Given two point sets ``A`` and ``B`` (two kd-tree nodes, or any two windows
+of an index array), BCCP returns the pair ``(u, v)`` with ``u in A`` and
+``v in B`` minimizing the distance; BCCP* minimizes the *mutual
+reachability* distance ``max(cd(u), cd(v), d(u, v))`` instead.  Both are
+computed exactly over all ``|A| * |B|`` candidates, which is how the
+paper's implementation computes them as well (the theoretical subquadratic
+BCCP is impractical and unimplemented there too).
 
-The kernel, :func:`bccp_batch`, evaluates *arrays* of node pairs against the
-:class:`~repro.spatial.flat.FlatKDTree` SoA layout: pairs are grouped by
-padded size class and each class is resolved by the tree's
-:class:`~repro.core.backend.KernelBackend` — the numpy backend with one 3-d
-``einsum`` + one masked ``argmin``, the numba backend with a compiled
-per-pair scan that never materializes the distance tensor — with no per-pair
-Python dispatch either way.  This is what the GFK / MemoGFK round drivers
-submit whole frontiers to.  Under a lowered (float32) backend the scan runs
-on the tree's ``scoring_points``.  The winning pairs' weights are always
-re-evaluated in exact float64 by :meth:`Metric.exact_edge_weights
-<repro.core.metric.Metric.exact_edge_weights>`, so the cancellation-prone
-matrix expansion never leaks into an MST edge weight.
+:func:`bccp_windows` is the engine's one pair-winner kernel:
+:func:`bccp_batch` applies it to kd-tree node pairs for the GFK / MemoGFK
+round drivers, and the dynamic engine to its tombstoned base tree and update
+buffer.  On an exact backend every winner is **the first candidate in
+row-major order whose** :meth:`Metric.exact_edge_weights
+<repro.core.metric.Metric.exact_edge_weights>` **value equals the pair's
+exact minimum** — independent of the scoring kernel, batching, thread count
+and memory budget, however far the points sit from the origin.
+
+Each padded size class of pairs is resolved by the backend's
+:meth:`~repro.core.backend.KernelBackend.bccp_class` with no per-pair Python
+dispatch.  The numpy backend scores a class with one batched tensor and
+takes its argmin; a certified error band around the scores says whether any
+other candidate could attain, or tie, the exact minimum, and only such pairs
+evaluate their banded candidates exactly (a candidate whose core-distance
+term dominates is exact without evaluation).  The numba backend's compiled
+scan flags the pairs it cannot certify and hands them to the numpy step.  A
+lowered (float32) backend keeps the plain argmin of its float32 scores, its
+documented approximate contract.  Every returned weight is the winner's
+exact float64 value.
 
 Results are memoized in a :class:`BCCPCache` keyed by unordered node-id
 pairs — matching the paper's remark that "we cache the BCCP results of pairs
@@ -27,11 +35,8 @@ to avoid repeated computations" — stored as sorted key/result *arrays* so a
 whole round's frontier is partitioned into hits and misses with one
 ``searchsorted`` instead of per-pair dict probes.
 
-The kernel takes its distance from the tree's pluggable metric
-(:attr:`FlatKDTree.metric`): candidates are scored with its block tensor and
-the winners re-evaluated with its difference-and-norm pass.  A cache is bound
-to one ``(tree, metric)`` pair — the metric is part of its identity, so
-results computed under different metrics can never mix.
+A cache is bound to one ``(tree, metric)`` pair — the metric is part of
+its identity, so results computed under different metrics can never mix.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.backend import KernelBackend
 from repro.core.context import current_context
+from repro.core.metric import Metric
 from repro.parallel.pool import current_workspace, parallel_map, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
@@ -67,56 +74,82 @@ def bccp_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact BCCP (or BCCP* with ``core_distances``) of whole node-pair arrays.
 
-    Pairs are grouped by padded size class ``(pad(|A|), pad(|B|))`` (padding
-    to the next power of two) and every class is evaluated with one batched
-    distance tensor (einsum row norms, batched BLAS matmul cross terms,
-    clamp, sqrt); padded slots are masked to ``+inf`` so the row-major
-    ``argmin`` over each pair's ``|A| x |B|`` block picks the first minimal
-    entry, as a dense per-pair matrix would.  The winning pairs are
-    re-evaluated with the shared cancellation-safe exact kernel.
-
-    With ``num_threads > 1`` the size-class chunks (and the individually
-    evaluated large pairs) are dispatched as independent tasks on the
-    persistent worker pool.  Every task resolves a disjoint set of output
-    rows, each row's winner depends only on that pair's own padded distance
-    block, and the class padding is computed before chunking — so the result
-    arrays are byte-identical at any thread count.
-
-    Returns ``(point_a, point_b, distance)`` arrays aligned with the input
-    pair order.
+    :func:`bccp_windows` over the tree's permutation, one window per node
+    (its ``[node_start, node_end)`` range).  Returns ``(point_a, point_b,
+    distance)`` arrays aligned with the input pair order.
     """
     a_ids = np.asarray(a_ids, dtype=np.int64)
     b_ids = np.asarray(b_ids, dtype=np.int64)
-    m = a_ids.size
+    start_a = flat.node_start[a_ids]
+    start_b = flat.node_start[b_ids]
+    return bccp_windows(
+        flat.points,
+        flat.perm,
+        start_a,
+        flat.node_end[a_ids] - start_a,
+        start_b,
+        flat.node_end[b_ids] - start_b,
+        core_distances,
+        metric=flat.metric,
+        backend=flat.backend,
+        num_threads=num_threads,
+    )
+
+
+def bccp_windows(
+    points: np.ndarray,
+    index: np.ndarray,
+    start_a: np.ndarray,
+    size_a: np.ndarray,
+    start_b: np.ndarray,
+    size_b: np.ndarray,
+    core_distances: Optional[np.ndarray] = None,
+    *,
+    metric: Metric,
+    backend: KernelBackend,
+    num_threads: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The BCCP / BCCP* winner of every pair of index windows.
+
+    Pair ``r`` is the cross product of ``index[start_a[r] : start_a[r] +
+    size_a[r]]`` and the (non-empty) ``b`` window, scanned in row-major
+    order, under the winner rule of the module docstring; a point with an
+    infinite core distance never wins while its pair holds another.
+    Returns ``(point_a, point_b, weight)`` aligned with the pairs.
+
+    Pairs are grouped by padded size class ``(pad(|A|), pad(|B|))`` (next
+    power of two) and each class chunk is one ``backend.bccp_class`` task;
+    pairs whose own block reaches ``_LARGE_PAIR_ELEMENTS`` are resolved
+    alone.  Every task resolves a disjoint set of rows from those rows'
+    blocks alone, and the class padding is fixed before chunking, so the
+    results are byte-identical at any thread count and memory budget.
+    """
+    start_a = np.asarray(start_a, dtype=np.int64)
+    size_a = np.asarray(size_a, dtype=np.int64)
+    start_b = np.asarray(start_b, dtype=np.int64)
+    size_b = np.asarray(size_b, dtype=np.int64)
+    m = start_a.size
     out_pa = np.empty(m, dtype=np.int64)
     out_pb = np.empty(m, dtype=np.int64)
     if m == 0:
         return out_pa, out_pb, np.empty(0, dtype=np.float64)
-
-    metric = flat.metric
-    backend = flat.backend
-    points = flat.points
-    # Candidate scoring runs on the backend's scoring view of the points
-    # (aliases ``points`` for exact backends, float32 copy for lowered ones);
-    # the winners' reported weights always come from the float64 ``points``.
-    scoring_points = flat.scoring_points
-    perm = flat.perm
-    start_a = flat.node_start[a_ids]
-    start_b = flat.node_start[b_ids]
-    size_a = flat.node_end[a_ids] - start_a
-    size_b = flat.node_end[b_ids] - start_b
-    current_tracker().add(float((size_a * size_b).sum()), 1.0, phase="bccp")
+    scoring_points = backend.lower_points(points)
+    pair_work = size_a * size_b
+    current_tracker().add(float(pair_work.sum()), 1.0, phase="bccp")
     scoring_cd = None
     if core_distances is not None:
         core_distances = np.asarray(core_distances, dtype=np.float64)
         scoring_cd = np.asarray(core_distances, dtype=backend.scoring_dtype)
 
-    # Pairs whose own distance matrix is already large amortize one kernel
-    # dispatch by themselves; evaluating them individually avoids any padding
-    # waste.  Everything else is grouped into power-of-two size classes and
-    # padded only up to the class's actual maxima.  Each (sub, p_a, p_b) task
-    # resolves a disjoint set of output rows, so the task list can run inline
-    # or on the worker pool with identical results.
+    single = np.flatnonzero(pair_work == 1)
+    out_pa[single] = index[start_a[single]]
+    out_pb[single] = index[start_b[single]]
+
+    # Pairs whose own block is already large amortize one kernel dispatch by
+    # themselves; everything else is grouped into power-of-two size classes
+    # and padded only up to the class's actual maxima.  Each (sub, p_a, p_b)
+    # task resolves a disjoint set of output rows, so the task list can run
+    # inline or on the worker pool with identical results.
     workers = resolve_num_threads(num_threads)
     budget = current_context().memory_budget
     chunk_elements = budget.tile_elements(
@@ -125,30 +158,30 @@ def bccp_batch(
         parts=workers,
         component="bccp",
     )
-    pair_work = size_a * size_b
     tasks: list = []
     for row in np.flatnonzero(pair_work >= _LARGE_PAIR_ELEMENTS):
-        sub = np.array([row], dtype=np.int64)
-        # A single pair's |A| x |B| matrix is the irreducible tile: splitting
-        # it could change BLAS blocking and argmin tie-breaking, so it stays
-        # whole and any overshoot of the tile ceiling is recorded honestly.
+        # A single pair's |A| x |B| block is the irreducible tile, so it
+        # stays whole and any overshoot of the tile ceiling is recorded.
         budget.note_allocation(int(pair_work[row]) * 8)
-        tasks.append((sub, int(size_a[row]), int(size_b[row])))
+        tasks.append(
+            (np.array([row], dtype=np.int64), int(size_a[row]), int(size_b[row]))
+        )
 
-    small = np.flatnonzero(pair_work < _LARGE_PAIR_ELEMENTS)
+    small = np.flatnonzero((pair_work > 1) & (pair_work < _LARGE_PAIR_ELEMENTS))
     if small.size:
-        bits_a = np.ceil(np.log2(np.maximum(size_a, 1))).astype(np.int64)
-        bits_b = np.ceil(np.log2(np.maximum(size_b, 1))).astype(np.int64)
-        class_key = (bits_a * 64 + bits_b)[small]
-        order = small[np.argsort(class_key, kind="stable")]
-        sorted_key = np.sort(class_key, kind="stable")
+        bits_a = np.ceil(np.log2(size_a[small])).astype(np.int64)
+        bits_b = np.ceil(np.log2(size_b[small])).astype(np.int64)
+        class_key = bits_a * 64 + bits_b
+        order = np.argsort(class_key, kind="stable")
+        rows_sorted = small[order]
+        sorted_key = class_key[order]
         boundaries = np.flatnonzero(np.diff(sorted_key)) + 1
         group_starts = np.concatenate([[0], boundaries, [order.size]])
 
         for g in range(group_starts.size - 1):
-            rows = order[group_starts[g] : group_starts[g + 1]]
+            rows = rows_sorted[group_starts[g] : group_starts[g + 1]]
             # Padding is fixed per class *before* chunking, so chunk
-            # boundaries cannot change any row's padded block or its argmin.
+            # boundaries cannot change any row's padded block.
             p_a = int(size_a[rows].max())
             p_b = int(size_b[rows].max())
             # Chunk so one class never materializes an oversized tensor; with
@@ -165,7 +198,7 @@ def bccp_batch(
         backend.bccp_class(
             metric,
             scoring_points,
-            perm,
+            index,
             scoring_cd,
             start_a[sub],
             size_a[sub],

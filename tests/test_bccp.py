@@ -7,6 +7,8 @@ the two nodes' point indices, inside the test.
 import numpy as np
 import pytest
 
+from conformance import CONFORMANCE_MEMORY_BUDGETS, CONFORMANCE_METRICS
+from repro.core.context import use_context
 from repro.core.distance import closest_pair_bruteforce, cross_distances, euclidean
 from repro.hdbscan import core_distances
 from repro.spatial import KDTree
@@ -17,18 +19,16 @@ from repro.wspd.wspd import compute_wspd_ids
 def brute_bccp(tree, a, b, core=None):
     """BCCP (BCCP* with ``core``) of nodes ``a``, ``b`` by brute force.
 
-    Scores the dense ``point_indices(a) x point_indices(b)`` distance matrix,
-    takes its row-major first minimum and re-evaluates the winner with the
-    exact pair kernel: ``(point_a, point_b, weight)``.
+    Evaluates every candidate of ``point_indices(a) x point_indices(b)``
+    with the exact pair kernel and takes the row-major first candidate at
+    the minimum: ``(point_a, point_b, weight)``.
     """
     flat = tree.flat
     ia, ib = flat.point_indices(a), flat.point_indices(b)
-    scores = flat.metric.cross_distances(flat.points[ia], flat.points[ib])
-    if core is not None:
-        scores = np.maximum(scores, np.maximum(core[ia][:, None], core[ib][None, :]))
-    i, j = divmod(int(np.argmin(scores)), scores.shape[1])
-    weight = flat.metric.exact_edge_weights(flat.points, [ia[i]], [ib[j]], core)[0]
-    return int(ia[i]), int(ib[j]), float(weight)
+    u, v = np.repeat(ia, ib.size), np.tile(ib, ia.size)
+    exact = flat.metric.exact_edge_weights(flat.points, u, v, core)
+    first = int(np.flatnonzero(exact == exact.min())[0])
+    return int(u[first]), int(v[first]), float(exact[first])
 
 
 def one_bccp(tree, a, b, core=None):
@@ -173,6 +173,67 @@ class TestBCCPBatch:
         assert int(flat.node_sizes[a[0]] * flat.node_sizes[b[0]]) >= 16_384
         pa, pb, w = bccp_batch(flat, a, b)
         assert (int(pa[0]), int(pb[0]), float(w[0])) == brute_bccp(tree, a[0], b[0])
+
+
+def exact_oracle(flat, a_ids, b_ids, core=None):
+    """The exact winner rule over whole pair arrays, by full enumeration.
+
+    Every candidate of every pair is weighed with
+    ``Metric.exact_edge_weights``; each pair's winner is its first candidate
+    in row-major order (A's window major) whose weight is the pair's
+    minimum.
+    """
+    size_a, size_b = flat.node_sizes[a_ids], flat.node_sizes[b_ids]
+    counts = size_a * size_b
+    offsets = np.cumsum(counts) - counts
+    pair = np.repeat(np.arange(a_ids.size), counts)
+    k = np.arange(counts.sum()) - offsets[pair]
+    u = flat.perm[flat.node_start[a_ids][pair] + k // size_b[pair]]
+    v = flat.perm[flat.node_start[b_ids][pair] + k % size_b[pair]]
+    exact = flat.metric.exact_edge_weights(flat.points, u, v, core)
+    at_min = exact == np.minimum.reduceat(exact, offsets)[pair]
+    first = np.minimum.reduceat(np.where(at_min, np.arange(k.size), k.size), offsets)
+    return u[first], v[first], exact[first]
+
+
+def shifted_points(kind, shift, seed=0):
+    """A small 3D set translated by ``shift``: generic uniform points, or a
+    half-integer lattice with exact duplicates (exact ties survive every
+    shift here, since the lattice is representable at 1e7)."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        points = rng.random((160, 3))
+    else:
+        lattice = 0.5 * rng.integers(0, 5, size=(120, 3)).astype(float)
+        points = np.concatenate([lattice, lattice[rng.choice(120, 40)]])
+    return points + shift
+
+
+class TestExactWinners:
+    """Every winner is the row-major first exact minimum, weight bits
+    included, however large the coordinates, ties, metric, thread count or
+    memory budget."""
+
+    @pytest.mark.parametrize("metric", CONFORMANCE_METRICS)
+    @pytest.mark.parametrize("kind", ["uniform", "ties"])
+    @pytest.mark.parametrize("shift", [0.0, 1e5, 1e6, 1e7])
+    def test_matches_exact_oracle(self, shift, kind, metric):
+        points = shifted_points(kind, shift)
+        tree = KDTree(points, leaf_size=1, metric=metric)
+        flat = tree.flat
+        wspd_a, wspd_b = compute_wspd_ids(tree)
+        rand_a, rand_b = _random_frontier(tree, np.random.default_rng(9), 200)
+        a_ids = np.concatenate([wspd_a, rand_a])
+        b_ids = np.concatenate([wspd_b, rand_b])
+        for core in (None, core_distances(points, 5, metric=metric)):
+            want = exact_oracle(flat, a_ids, b_ids, core)
+            for threads in (1, 4):
+                for budget in CONFORMANCE_MEMORY_BUDGETS:
+                    with use_context(memory_budget=budget):
+                        got = bccp_batch(flat, a_ids, b_ids, core, num_threads=threads)
+                    context = f"core={core is not None} {threads=} {budget=}"
+                    for name, g, w in zip(("point_a", "point_b", "weight"), got, want):
+                        assert g.tobytes() == w.tobytes(), f"{name} differs: {context}"
 
 
 def one_get(cache, a, b):

@@ -38,6 +38,7 @@ from repro.dynamic import (
     update_batch,
 )
 from repro.dynamic import engine as dynamic_engine
+from repro.dynamic import spatial as dynamic_spatial
 from repro.serve import ServingEngine, fit_state, load_state
 
 MIN_PTS = 5
@@ -256,11 +257,12 @@ class TestChurnRegressions:
         n=st.integers(12, 80),
         min_pts=st.sampled_from([1, 3, 10]),
         rounds=st.integers(1, 3),
+        shift=st.sampled_from([0.0, 1e5, 1e6, 1e7]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_tied_churn_matches_cold_fit(self, dim, n, min_pts, rounds, seed):
+    def test_tied_churn_matches_cold_fit(self, dim, n, min_pts, rounds, shift, seed):
         rng = np.random.default_rng(seed)
-        live = _tied_points(rng, n, dim)
+        live = _tied_points(rng, n, dim) + shift
         params = {"min_pts": min_pts, "min_cluster_size": MIN_CLUSTER_SIZE}
         state = fit_dynamic(live, **params)
         for round_no in range(rounds):
@@ -268,12 +270,59 @@ class TestChurnRegressions:
                 live.shape[0], size=int(rng.integers(0, live.shape[0] // 3 + 1)),
                 replace=False,
             )
-            batch = _tied_points(rng, int(rng.integers(1, 16)), dim, live)
+            batch = _tied_points(rng, int(rng.integers(1, 16)), dim, live - shift)
+            batch += shift
             state = update_batch(state, removed, batch)
             live = np.concatenate([np.delete(live, removed, axis=0), batch])
             assert_states_identical(
                 state, fit_dynamic(live, **params), f"round {round_no}"
             )
+
+
+    def test_translated_churn_matches_cold_fit(self):
+        # 2D uniform data far from the origin: the BLAS expansion's error
+        # exceeds the point spacing, so cold-fit winners must be exact too.
+        rng = np.random.default_rng(5)
+        live = rng.random((1200, 2)) + 1e6
+        state = fit_dynamic(live, min_pts=MIN_PTS)
+        for round_no in range(3):
+            removed = rng.choice(live.shape[0], size=20, replace=False)
+            batch = rng.random((20, 2)) + 1e6
+            state = update_batch(state, removed, batch)
+            live = np.concatenate([np.delete(live, removed, axis=0), batch])
+            assert_states_identical(
+                state, fit_dynamic(live, min_pts=MIN_PTS), f"round {round_no}"
+            )
+
+    def test_buffered_update_expands_few_member_ids(self):
+        # Pairing buffered points against the base tree used to expand
+        # every member of every (point, node) pair: the whole base per
+        # buffered point.  Only the nodes of pairs resolved at box level
+        # may be expanded now.
+        points = np.random.default_rng(6).random((2000, 3))
+        state = fit_dynamic(points, min_pts=MIN_PTS)
+        getattr(state, SUPPORT_ATTR)
+        expanded = []
+        segment_ranges = dynamic_spatial._segment_ranges
+
+        def counting(starts, lengths):
+            out = segment_ranges(starts, lengths)
+            expanded.append(out.size)
+            return out
+
+        buffer_winners = dynamic_engine._buffer_winners
+
+        def counted(*args, **kwargs):
+            with mock.patch.object(dynamic_spatial, "_segment_ranges", counting):
+                return buffer_winners(*args, **kwargs)
+
+        batch = np.random.default_rng(7).random((40, 3))
+        with mock.patch.object(dynamic_engine, "_buffer_winners", counted):
+            state = insert_batch(state, batch)
+        assert sum(expanded) <= points.shape[0]
+        assert_states_identical(
+            state, fit_dynamic(np.concatenate([points, batch]), min_pts=MIN_PTS)
+        )
 
 
 class TestOnePassUpdate:
@@ -554,22 +603,6 @@ def tie_heavy_points(seed=0):
     return points[rng.permutation(points.shape[0])]
 
 
-def _one_cold_fit_cells():
-    for method in EXACT_HDBSCAN_METHODS:
-        for metric in CONFORMANCE_METRICS:
-            marks = ()
-            if method == "bruteforce" and metric == "euclidean":
-                # The brute-force oracle weighs Euclidean edges with the
-                # BLAS expansion kernel, which breaks exact ties its own
-                # way; every other cell weighs them with Metric.diff_norms.
-                marks = pytest.mark.xfail(
-                    strict=True,
-                    reason="brute-force HDBSCAN* weighs Euclidean edges "
-                    "with the expansion kernel, not Metric.diff_norms",
-                )
-            yield pytest.param(method, metric, marks=marks)
-
-
 class TestOneColdFit:
     """Every state comes from one cold fit; repair support is built lazily."""
 
@@ -578,7 +611,8 @@ class TestOneColdFit:
         return gaussian_blobs(120, 3, num_clusters=3, seed=23)
 
     @pytest.mark.parametrize("threads", DYNAMIC_THREAD_COUNTS)
-    @pytest.mark.parametrize("method, metric", list(_one_cold_fit_cells()))
+    @pytest.mark.parametrize("metric", CONFORMANCE_METRICS)
+    @pytest.mark.parametrize("method", EXACT_HDBSCAN_METHODS)
     def test_fit_state_equals_fit_dynamic_on_ties(self, method, metric, threads):
         points = tie_heavy_points()
         params = dict(

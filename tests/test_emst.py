@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conformance import EXACT_EMST_METHODS, skip_unless_supported
 from repro.core.errors import InvalidParameterError
 from repro.emst import (
     EMST_METHODS,
@@ -52,6 +53,26 @@ class TestAgainstBruteforce:
         subset = varden_points[:120]
         expected = emst_bruteforce(subset).total_weight
         assert algorithm(subset).total_weight == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.fixture(scope="module", params=[1e5, 1e6, 1e7], ids=lambda s: f"shift{s:g}")
+def translated_3d(request):
+    """3D uniform points far from the origin, where the BLAS expansion's
+    cancellation error exceeds the point spacing, and their brute-force
+    sorted weights."""
+    points = np.random.default_rng(0).random((1500, 3)) + request.param
+    return points, np.sort(emst_bruteforce(points).edges.as_arrays()[2])
+
+
+class TestTranslatedData:
+    @pytest.mark.parametrize(
+        "method", [m for m in EXACT_EMST_METHODS if m != "bruteforce"]
+    )
+    def test_exact_methods_equal_bruteforce(self, translated_3d, method):
+        points, expected = translated_3d
+        skip_unless_supported(method, "euclidean", points.shape[1])
+        weights = np.sort(emst(points, method=method).edges.as_arrays()[2])
+        assert weights.tobytes() == expected.tobytes()
 
 
 class TestEdgeCases:

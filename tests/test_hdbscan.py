@@ -167,6 +167,30 @@ class TestMSTVariants:
             assert w >= max(core[u], core[v]) - 1e-9
 
 
+class TestTranslatedData:
+    """2D uniform points shifted far from the origin: every exact MST is the
+    exact one, so the oracle barely moves with the shift."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return np.random.default_rng(1).random((1200, 2))
+
+    @pytest.mark.parametrize("shift", [1e5, 1e6])
+    def test_exact_methods_equal_bruteforce(self, base, shift):
+        points = base + shift
+        expected = np.sort(hdbscan_mst_bruteforce(points, 5).edges.as_arrays()[2])
+        for method in EXACT_METHODS:
+            weights = np.sort(method(points, 5).edges.as_arrays()[2])
+            assert weights.tobytes() == expected.tobytes(), method.__name__
+
+    def test_bruteforce_is_translation_stable(self, base):
+        # Rounding the shifted coordinates moves the total by ~1e-10; the
+        # BLAS expansion kernel moved it by 2e-3 at a 1e5 shift.
+        unshifted = hdbscan_mst_bruteforce(base, 5).total_weight
+        shifted = hdbscan_mst_bruteforce(base + 1e5, 5).total_weight
+        assert shifted == pytest.approx(unshifted, rel=1e-9)
+
+
 class TestApproximateOptics:
     def test_weight_close_to_exact(self, small_points_3d):
         exact = hdbscan_mst_bruteforce(small_points_3d, 10).total_weight
