@@ -12,6 +12,12 @@ decreasing weight order.  Two constructions are provided:
   (heavy edges), recurses on the heavy-edge subproblem and every light-edge
   subproblem, and splices the light dendrograms into the heavy one.
 
+Both number internal node ``n + r`` by the edge of stable weight rank ``r``
+and return the same dendrogram byte for byte.  The fits, the serving layer
+and the dynamic engine use the sequential sweep, which is faster on one
+core; the top-down construction is the one the paper parallelises and the
+Figure 9 benchmark models.
+
 Both produce *ordered* dendrograms for a chosen starting vertex: the
 in-order traversal of the leaves equals the visit order of Prim's algorithm
 started at that vertex, so the reachability plot (OPTICS sequence) can be read

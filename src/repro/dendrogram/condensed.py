@@ -13,14 +13,20 @@ Density here is expressed as ``lambda = 1 / height`` (height being the mutual
 reachability distance at which a split happens), following the standard
 formulation.
 
-The implementation is array-native end to end: subtree membership comes from
-the dendrogram's precomputed leaf spans (one slice per shed subtree instead
-of a per-node stack walk), the condensed records accumulate in columnar
-buffers, per-cluster stabilities are one segmented ``bincount``, and the EOM
-selection resolves nearest-selected-ancestors with single id-ordered array
-scans — no recursion anywhere, so arbitrarily deep (chain-shaped)
-dendrograms condense without ever approaching a ``RecursionError``, and the
-clustering tail is no longer an object-at-a-time stage.
+The implementation is array-native end to end.  Condensing is a fixed
+number of passes over all dendrogram nodes plus ``O(log depth)`` pointer-
+doubling rounds: every internal node is classified as a split, shed or
+dissolve by its children's sizes; the visited nodes and their condensed
+clusters are found by pointer doubling over the parent array; clusters are
+numbered and records ordered by a right-child-first preorder (the order of
+the depth-first walk that defines them); and shed points are gathered from
+the dendrogram's leaf spans in one segmented pass.  Per-cluster
+stabilities are one segmented ``bincount``, and the EOM selection resolves
+nearest-selected-ancestors with single id-ordered array scans.  Nothing
+recurses and nothing loops per node in Python, so arbitrarily deep
+(chain-shaped) dendrograms condense without approaching a
+``RecursionError``.  Dendrogram node ids follow the edge-rank rule both constructions share
+(node ``n + r`` is the edge of rank ``r``; see :mod:`repro.dendrogram.topdown`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError
 from repro.dendrogram.structure import Dendrogram
+from repro.parallel.primitives import pointer_jump, segment_ranges
 
 
 @dataclass(frozen=True)
@@ -50,57 +57,6 @@ class CondensedEdge:
     lambda_value: float
     child_size: int
     child_is_cluster: bool
-
-
-class _EdgeColumns:
-    """Columnar accumulator for condensed-tree records.
-
-    Records arrive either one cluster-child at a time or as whole arrays of
-    point fallouts (the leaves of a shed subtree); both append to per-column
-    array lists that are concatenated once at the end.
-    """
-
-    def __init__(self) -> None:
-        self.parents: List[np.ndarray] = []
-        self.children: List[np.ndarray] = []
-        self.lambdas: List[np.ndarray] = []
-        self.sizes: List[np.ndarray] = []
-        self.is_cluster: List[np.ndarray] = []
-
-    def add_points(self, cluster: int, points: np.ndarray, lambda_value: float) -> None:
-        count = int(points.shape[0])
-        self.parents.append(np.full(count, cluster, dtype=np.int64))
-        self.children.append(np.asarray(points, dtype=np.int64))
-        self.lambdas.append(np.full(count, lambda_value, dtype=np.float64))
-        self.sizes.append(np.ones(count, dtype=np.int64))
-        self.is_cluster.append(np.zeros(count, dtype=bool))
-
-    def add_cluster(
-        self, cluster: int, child_cluster: int, lambda_value: float, size: int
-    ) -> None:
-        self.parents.append(np.array([cluster], dtype=np.int64))
-        self.children.append(np.array([child_cluster], dtype=np.int64))
-        self.lambdas.append(np.array([lambda_value], dtype=np.float64))
-        self.sizes.append(np.array([size], dtype=np.int64))
-        self.is_cluster.append(np.array([True]))
-
-    def concatenate(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if not self.parents:
-            empty_i = np.empty(0, dtype=np.int64)
-            return (
-                empty_i,
-                empty_i.copy(),
-                np.empty(0, dtype=np.float64),
-                empty_i.copy(),
-                np.empty(0, dtype=bool),
-            )
-        return (
-            np.concatenate(self.parents),
-            np.concatenate(self.children),
-            np.concatenate(self.lambdas),
-            np.concatenate(self.sizes),
-            np.concatenate(self.is_cluster),
-        )
 
 
 class CondensedTree:
@@ -238,8 +194,24 @@ class CondensedTree:
         )
 
 
-def _lambda_of_height(height: float) -> float:
-    return math.inf if height <= 0.0 else 1.0 / height
+def _pointer_fold(up: np.ndarray, flag: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Top of every node's chain and the AND of ``flag`` along it.
+
+    ``up`` is a parent array whose tops point at themselves.  Pointer
+    doubling: ``folded[v]`` holds the AND over the chain segment from ``v``
+    up to (excluding) ``jump[v]``, and each round doubles every segment, so
+    a chain of depth ``d`` takes ``log2(d)`` vectorized rounds.
+    """
+    jump = up.copy()
+    folded = flag.copy()
+    active = np.flatnonzero(jump != jump[jump])
+    while active.size:
+        hop = jump[active]
+        folded[active] &= folded[hop]
+        jump[active] = jump[hop]
+        active = active[jump[active] != jump[jump[active]]]
+    folded &= flag[jump]
+    return jump, folded
 
 
 def condense_dendrogram(
@@ -250,10 +222,29 @@ def condense_dendrogram(
     Walking from the root down, a split into two children both of size at
     least ``min_cluster_size`` creates two new clusters; otherwise the large
     side keeps the parent's cluster identity and the points of the small side
-    "fall out" of the cluster at the split's density level.  The walk is an
-    explicit iterative stack over dendrogram nodes; the points of a shed
-    subtree come from the dendrogram's leaf spans as one array slice, so no
-    step recurses or touches leaves one at a time.
+    "fall out" of the cluster at the split's density level.
+
+    The walk runs as array passes over all dendrogram nodes, with no
+    recursion and no per-node Python step:
+
+    * every internal node is classified by its children's sizes as a
+      *split* (both sides large), a *shed* (one side large) or a *dissolve*
+      (neither side large);
+    * a node is visited when every step down from the root goes to a child
+      of a split or to the large child of a shed, and its condensed cluster
+      is the one opened at its nearest ancestor-or-self whose parent split
+      (the root's is cluster 0) — both by pointer doubling over the parent
+      array;
+    * the visited nodes are ordered by a right-child-first preorder (leaf
+      span end descending, then size descending), clusters are numbered in
+      that order (left child first), and every visited node emits its
+      records in that order: a leaf one infinite-lambda point record, a
+      split two cluster records, a shed or dissolve the points of the shed
+      child or of the node itself, gathered from the dendrogram's leaf
+      spans in one segmented pass.
+
+    This is the order of the depth-first stack walk the records are defined
+    by, so the columns, cluster ids and dicts are the walk's byte for byte.
     """
     if min_cluster_size < 1:
         raise InvalidParameterError("min_cluster_size must be >= 1")
@@ -274,67 +265,87 @@ def condense_dendrogram(
         raise InvalidParameterError("dendrogram has no root; construction incomplete")
 
     order, first = dendrogram.leaf_spans()
+    root = int(dendrogram.root)
+    left, right = dendrogram.children_arrays()
+    total = n + left.shape[0]
+    size = dendrogram.node_sizes(np.arange(total, dtype=np.int64))
+    big_left = size[left] >= min_cluster_size
+    big_right = size[right] >= min_cluster_size
+    split = big_left & big_right
+    with np.errstate(divide="ignore"):
+        heights = dendrogram.heights()
+        lam = np.where(heights <= 0.0, math.inf, 1.0 / heights)
 
-    def leaves_of(node_id: int) -> np.ndarray:
-        lo = int(first[node_id])
-        return order[lo : lo + dendrogram.node_size(node_id)]
+    # The walk steps into every large child: both children of a split, the
+    # survivor of a shed.  ``opens`` marks the children of splits.
+    steps = np.zeros(total, dtype=bool)
+    steps[left] = big_left
+    steps[right] = big_right
+    opens = np.zeros(total, dtype=bool)
+    opens[left] = split
+    opens[right] = split
+    steps[root] = opens[root] = True
+    up = dendrogram.parent_array()
+    tops = up < 0
+    up[tops] = np.flatnonzero(tops)
+    top, reached = _pointer_fold(up, steps)
+    visited = np.flatnonzero(reached & (top == root))
+    anchor = pointer_jump(np.where(opens, np.arange(total, dtype=np.int64), up))
 
-    root_cluster = 0
-    birth_lambda: Dict[int, float] = {root_cluster: 0.0}
-    parent_of_cluster: Dict[int, int] = {}
-    columns = _EdgeColumns()
-    next_cluster_id = 1
+    # Right-child-first preorder of the visited nodes.
+    end = first[visited] + size[visited]
+    visited = visited[np.lexsort((-size[visited], -end))]
+    internal = visited >= n
+    node_index = visited[internal] - n
+    is_split = np.zeros(visited.shape[0], dtype=bool)
+    is_split[internal] = split[node_index]
+    split_nodes = visited[is_split]
+    split_children = np.column_stack(
+        (left[split_nodes - n], right[split_nodes - n])
+    ).ravel()
+    cluster_of = np.zeros(total, dtype=np.int64)  # the root's cluster is 0
+    cluster_of[split_children] = np.arange(1, split_children.size + 1)
+    visited_cluster = cluster_of[anchor[visited]]
 
-    # Each stack entry: (dendrogram node, condensed cluster it belongs to).
-    stack: List[Tuple[int, int]] = [(dendrogram.root, root_cluster)]
-    while stack:
-        node_id, cluster = stack.pop()
-        if dendrogram.is_leaf(node_id):
-            # A singleton that reached the bottom of its cluster: it stays
-            # until the maximum density, i.e. it leaves at lambda = infinity
-            # (capped later during stability computation).
-            columns.add_points(
-                cluster, np.array([node_id], dtype=np.int64), math.inf
-            )
-            continue
-        left, right = dendrogram.children(node_id)
-        lambda_value = _lambda_of_height(dendrogram.height(node_id))
-        left_size = dendrogram.node_size(left)
-        right_size = dendrogram.node_size(right)
-        big_left = left_size >= min_cluster_size
-        big_right = right_size >= min_cluster_size
+    # Point records come from one leaf span per visited node: the node
+    # itself for a leaf or a dissolve, the small child for a shed.  A split
+    # has two cluster records instead, left child first.
+    node_lambda = np.full(visited.shape[0], math.inf)
+    node_lambda[internal] = lam[node_index]
+    span_node = visited[~is_split]
+    unsplit = span_node >= n
+    unsplit_index = span_node[unsplit] - n
+    span_node[unsplit] = np.where(
+        big_left[unsplit_index],
+        right[unsplit_index],
+        np.where(big_right[unsplit_index], left[unsplit_index], span_node[unsplit]),
+    )
+    span_size = size[span_node]
+    counts = np.full(visited.shape[0], 2, dtype=np.int64)
+    counts[~is_split] = span_size
+    owner = np.repeat(np.arange(visited.shape[0], dtype=np.int64), counts)
+    is_cluster = is_split[owner]
+    child = np.empty(owner.shape[0], dtype=np.int64)
+    child[~is_cluster] = order[segment_ranges(first[span_node], span_size)]
+    child[is_cluster] = cluster_of[split_children]
+    child_size = np.ones(owner.shape[0], dtype=np.int64)
+    child_size[is_cluster] = size[split_children]
 
-        if big_left and big_right:
-            for child in (left, right):
-                child_cluster = next_cluster_id
-                next_cluster_id += 1
-                birth_lambda[child_cluster] = lambda_value
-                parent_of_cluster[child_cluster] = cluster
-                columns.add_cluster(
-                    cluster,
-                    child_cluster,
-                    lambda_value,
-                    dendrogram.node_size(child),
-                )
-                stack.append((child, child_cluster))
-        elif big_left or big_right:
-            survivor, shed = (left, right) if big_left else (right, left)
-            columns.add_points(cluster, leaves_of(shed), lambda_value)
-            stack.append((survivor, cluster))
-        else:
-            columns.add_points(cluster, leaves_of(node_id), lambda_value)
-
-    parent, child, lam, size, is_cluster = columns.concatenate()
+    split_lambda = np.repeat(lam[split_nodes - n], 2).tolist()
+    split_parent = np.repeat(visited_cluster[is_split], 2).tolist()
+    new_ids = range(1, split_children.size + 1)
+    birth_lambda: Dict[int, float] = {0: 0.0}
+    birth_lambda.update(zip(new_ids, split_lambda))
     return CondensedTree(
         num_points=n,
         min_cluster_size=min_cluster_size,
-        edge_parent=parent,
+        edge_parent=visited_cluster[owner],
         edge_child=child,
-        edge_lambda=lam,
-        edge_size=size,
+        edge_lambda=node_lambda[owner],
+        edge_size=child_size,
         edge_is_cluster=is_cluster,
         birth_lambda=birth_lambda,
-        parent_of_cluster=parent_of_cluster,
+        parent_of_cluster=dict(zip(new_ids, split_parent)),
     )
 
 

@@ -98,97 +98,88 @@ def merge_edges_bottom_up(
     edge_u: np.ndarray,
     edge_v: np.ndarray,
     edge_w: np.ndarray,
-    cluster_of: np.ndarray,
+    rep_u: np.ndarray,
+    rep_v: np.ndarray,
     vertex_distance: np.ndarray,
 ) -> int:
-    """Array union-find merge sweep shared by the bottom-up constructions.
+    """Union-find merge sweep shared by the bottom-up constructions.
 
-    Processes the edges in non-decreasing weight order (stable argsort, so
-    ties keep input order), merging the clusters of the endpoints and
-    recording one internal node per accepted merge; returns the id of the last
-    node created (-1 when no merge happened).  ``cluster_of[x]`` maps a vertex
-    to the dendrogram node currently representing its cluster — a leaf id for
-    a bare vertex, or the root of an already-built subproblem dendrogram
-    (vertices sharing a representative belong to one contracted supernode).
+    Builds every internal node of the fresh ``dendrogram`` from the tree
+    edges, which arrive in merge order (non-decreasing weight): edge ``i``
+    merges the clusters of its endpoints and, when both lie in different
+    clusters, creates internal node ``num_points + i`` (later ids shift down
+    by one per rejected edge, which only a non-tree input produces).
+    Returns the id of the last node created (-1 when no merge happened).
 
-    The union-find runs over the *representative* ids: local indices are
-    assigned by sorting the unique representatives, and the parent/rank/
-    binding/size state lives in flat arrays — the sweep touches no dicts.
+    ``rep_u[i]`` / ``rep_v[i]`` name the union-find element holding each
+    endpoint when the sweep reaches edge ``i``: the endpoint itself, or an
+    internal node created earlier in this sweep that stands for a whole
+    contracted group (the root of a light component of the top-down
+    construction).  Elements are node ids, so the parent/rank/binding/size
+    state lives in flat lists over all ``2n - 1`` ids and the sweep touches
+    no dicts; a created node's size is recorded under its own id, so it
+    enters later merges as an element of the right size.
     """
     m = int(edge_u.shape[0])
     if m == 0:
         return -1
-    order = np.argsort(edge_w, kind="stable")
-    rep_u = cluster_of[edge_u]
-    rep_v = cluster_of[edge_v]
-    supernodes = np.unique(np.concatenate([rep_u, rep_v]))
-    local_u = np.searchsorted(supernodes, rep_u)[order].tolist()
-    local_v = np.searchsorted(supernodes, rep_v)[order].tolist()
-    su_sorted = edge_u[order]
-    sv_sorted = edge_v[order]
-    su = su_sorted.tolist()
-    sv = sv_sorted.tolist()
+    n = dendrogram.num_points
+    total = n + m
+    parent = list(range(total))
+    rank = [0] * total
+    binding = list(range(total))
+    sizes = [1] * n + [0] * m
+    reps_u = rep_u.tolist()
+    reps_v = rep_v.tolist()
+    us = edge_u.tolist()
+    vs = edge_v.tolist()
+    vd = vertex_distance.tolist()
 
-    # Per-supernode state: union-find parent/rank, the dendrogram node bound
-    # to each live root, and its leaf count.
-    parent = list(range(len(supernodes)))
-    rank = [0] * len(supernodes)
-    binding = supernodes.tolist()
-    sizes = dendrogram.node_sizes(supernodes).tolist()
-    # Scalar indexing into a Python list is several times faster than into an
-    # ndarray, but converting the full per-point array only pays off when the
-    # subproblem touches a comparable number of vertices.
-    vd = vertex_distance.tolist() if vertex_distance.shape[0] <= 4 * m else vertex_distance
-
-    out_left = np.empty(m, dtype=np.int64)
-    out_right = np.empty(m, dtype=np.int64)
-    out_size = np.empty(m, dtype=np.int64)
+    out_left = []
+    out_right = []
+    out_size = []
     accepted = np.ones(m, dtype=bool)
-    next_id = dendrogram.num_points + dendrogram.num_internal
-    created = 0
+    next_id = n
     for index in range(m):
-        x = local_u[index]
+        x = reps_u[index]
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
-        y = local_v[index]
+        y = reps_v[index]
         while parent[y] != y:
             parent[y] = y = parent[parent[y]]
         if x == y:
-            # Cannot happen for a valid tree unless two supernodes were
-            # already merged through another edge of equal weight touching
-            # the same contracted component; skip defensively.
+            # Only a non-tree input (an edge closing a cycle) gets here.
             accepted[index] = False
             continue
-        node_u = binding[x]
-        node_v = binding[y]
-        u = su[index]
-        v = sv[index]
-        if vd[u] <= vd[v]:
-            out_left[created] = node_u
-            out_right[created] = node_v
+        if vd[us[index]] <= vd[vs[index]]:
+            out_left.append(binding[x])
+            out_right.append(binding[y])
         else:
-            out_left[created] = node_v
-            out_right[created] = node_u
+            out_left.append(binding[y])
+            out_right.append(binding[x])
         if rank[x] < rank[y]:
             x, y = y, x
         elif rank[x] == rank[y]:
             rank[x] += 1
         parent[y] = x
-        sizes[x] = out_size[created] = sizes[x] + sizes[y]
-        binding[x] = next_id + created
-        created += 1
+        size = sizes[x] + sizes[y]
+        sizes[x] = sizes[next_id] = size
+        out_size.append(size)
+        binding[x] = next_id
+        next_id += 1
 
+    created = next_id - n
     if created == 0:
         return -1
-    first_id = dendrogram.add_internal_batch(
-        out_left[:created],
-        out_right[:created],
-        edge_w[order][accepted],
-        su_sorted[accepted],
-        sv_sorted[accepted],
-        out_size[:created],
+    dendrogram.add_internal_batch(
+        np.array(out_left, dtype=np.int64),
+        np.array(out_right, dtype=np.int64),
+        edge_w[accepted],
+        edge_u[accepted],
+        edge_v[accepted],
+        np.array(out_size, dtype=np.int64),
     )
-    return first_id + created - 1
+    return next_id - 1
 
 
 def dendrogram_sequential(
@@ -211,6 +202,9 @@ def dendrogram_sequential(
         Starting vertex defining the ordered dendrogram / reachability plot.
     vertex_distance:
         Precomputed hop distances from ``start`` (computed if omitted).
+
+    Raises :class:`~repro.core.errors.InvalidParameterError` when the edges
+    do not form a spanning tree.
     """
     if num_points < 1:
         raise InvalidParameterError("num_points must be >= 1")
@@ -230,13 +224,12 @@ def dendrogram_sequential(
 
     n = num_points
     current_tracker().add(n * max(math.log2(n), 1.0), n, phase="dendrogram")
+    order = np.argsort(edge_w, kind="stable")
+    su, sv = edge_u[order], edge_v[order]
     root = merge_edges_bottom_up(
-        dendrogram,
-        edge_u,
-        edge_v,
-        edge_w,
-        np.arange(num_points, dtype=np.int64),
-        vertex_distance,
+        dendrogram, su, sv, edge_w[order], su, sv, vertex_distance
     )
+    if dendrogram.num_internal != n - 1:
+        raise InvalidParameterError("the edges do not form a spanning tree")
     dendrogram.set_root(root)
     return dendrogram

@@ -2,8 +2,11 @@
 
 Computing the EMST and then building its dendrogram solves the single-linkage
 hierarchical clustering problem (Gower & Ross); this module packages the two
-steps behind one call, which is also what the paper's "dendrogram for
-single-linkage clustering" experiments (Figure 9) measure.
+steps behind one call.  The dendrogram comes from the bottom-up sweep
+(:func:`~repro.dendrogram.sequential.dendrogram_sequential`), the fastest
+construction on one core; the paper's top-down construction that Figure 9
+measures (:func:`~repro.dendrogram.topdown.dendrogram_topdown`) returns the
+same dendrogram byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from repro.core.points import as_points
 from repro.dendrogram.extract import clusters_at_height, cut_num_clusters
 from repro.dendrogram.structure import Dendrogram
-from repro.dendrogram.topdown import dendrogram_topdown
+from repro.dendrogram.sequential import dendrogram_sequential
 from repro.emst.api import emst
 from repro.emst.result import EMSTResult
 
@@ -45,7 +48,6 @@ def single_linkage(
     method: str = "memogfk",
     metric=None,
     start: int = 0,
-    heavy_fraction: float = 0.1,
     **emst_kwargs,
 ) -> SingleLinkageResult:
     """Single-linkage hierarchical clustering of a point set.
@@ -61,8 +63,6 @@ def single_linkage(
         ``None`` for Euclidean).
     start:
         Starting vertex for the ordered dendrogram.
-    heavy_fraction:
-        Heavy-edge fraction for the top-down dendrogram construction.
     emst_kwargs:
         Forwarded to the EMST implementation.
     """
@@ -74,9 +74,7 @@ def single_linkage(
     timings["emst"] = time.perf_counter() - start_time
 
     start_time = time.perf_counter()
-    dendrogram = dendrogram_topdown(
-        tree.edges, data.shape[0], start=start, heavy_fraction=heavy_fraction
-    )
+    dendrogram = dendrogram_sequential(tree.edges, data.shape[0], start=start)
     timings["dendrogram"] = time.perf_counter() - start_time
 
     stats = {f"time_{name}": value for name, value in timings.items()}

@@ -294,10 +294,13 @@ class Dendrogram:
         """SciPy-style ``(n-1, 4)`` linkage matrix (cluster1, cluster2, height, size).
 
         Internal nodes must have been added in non-decreasing height order for
-        the result to be a valid SciPy linkage; the bottom-up construction
-        guarantees that, the top-down ones do not (use
-        :func:`repro.dendrogram.sequential.dendrogram_sequential` when a SciPy
-        compatible matrix is required).
+        the result to be a valid SciPy linkage.  Both constructions guarantee
+        that: internal node ``n + r`` belongs to the tree edge of rank ``r`` in
+        a stable weight sort, in :func:`repro.dendrogram.sequential.
+        dendrogram_sequential` and :func:`repro.dendrogram.topdown.
+        dendrogram_topdown` alike, so the matrix passes
+        ``scipy.cluster.hierarchy.is_valid_linkage`` and its ``cophenet`` is
+        SciPy's single-linkage cophenetic distance over the same weights.
         """
         count = self._count
         matrix = np.empty((count, 4), dtype=np.float64)

@@ -1,27 +1,50 @@
 """Top-down dendrogram construction (Section 4.2 of the paper).
 
 :func:`dendrogram_topdown` is the divide-and-conquer algorithm with heavy
-and light edges.  Each level takes the heaviest ``heavy_fraction`` of the
-edges (the paper uses 1/10) as the *heavy* subproblem, which forms the top
-part of the dendrogram; the connected components induced by the remaining
-*light* edges form independent light subproblems whose dendrogram roots are
-spliced into the corresponding positions of the heavy-edge dendrogram.
-Because the light components are contracted into supernodes for the heavy
-subproblem, the splice is represented directly: the supernode's dendrogram
-id *is* the light component's dendrogram root.
+and light edges.  Each subproblem takes the heaviest ``heavy_fraction`` of
+its edges (the paper uses 1/10) as the *heavy* subproblem, which forms the
+top part of its dendrogram; the connected components induced by the
+remaining *light* edges form independent light subproblems whose dendrogram
+roots are spliced into the corresponding positions of the heavy-edge
+dendrogram.  The light components are contracted into supernodes for the
+heavy subproblem, and the supernode's dendrogram id *is* the light
+component's dendrogram root.
 
-The recursion is array-native: a subproblem is three parallel edge arrays,
-the vertex → supernode map is one flat ``cluster_of`` array shared by the
-whole recursion (every subproblem overwrites only its own vertices, and
-leaves them bound to its finished root), light components are labelled by
-:func:`connected_components` (min-label hooking plus pointer jumping, the
-array form of the paper's parallel connectivity step) and grouped with a
-stable argsort of those labels (first-occurrence component order, so the
-grouping depends only on the partition), and supernode redirections are
-applied through a reusable identity ``remap`` array instead of per-vertex
-dict rebuilds.  The base case shares the bulk merge sweep
-(:func:`repro.dendrogram.sequential.merge_edges_bottom_up`) with the
-sequential construction.
+**Node ids.**  The edges are ranked once by a stable weight sort, and the
+internal node of the edge of rank ``r`` is node ``n + r`` — the id the
+sequential bottom-up sweep gives it.  A light component's root is therefore
+``n + (its largest rank)``, known before any merge runs, so the splice needs
+no result from the light subproblem and every subproblem of a level is
+independent of the others.
+
+**Level-synchronous schedule.**  The live edges are kept sorted by
+(subproblem, rank), so every subproblem is a contiguous segment.  One level
+splits every active segment at once:
+
+* a segment of ``m`` edges whose heavy part would be all of it, or with
+  ``m <= base_size``, is a base case and leaves the recursion;
+* otherwise its top ``max(1, int(m * heavy_fraction))`` ranks are heavy,
+  and the light components of all segments are labelled together by one
+  :func:`connected_components` call (segments never share a supernode);
+* every heavy endpoint inside a light component is redirected to that
+  component's root, and a stable regroup by the new segments' largest rank
+  restores the (segment, rank) order.
+
+The base cases of all levels then run as one bottom-up merge sweep
+(:func:`repro.dendrogram.sequential.merge_edges_bottom_up`) over every edge
+in rank order, each endpoint replaced by the supernode it had in its base
+case.  Python-level calls grow with the number of levels, not with ``n``,
+and the result is byte-identical to
+:func:`repro.dendrogram.sequential.dendrogram_sequential` for every
+``heavy_fraction`` and ``base_size``.
+
+**Work-depth model.**  Each level charges its live edges as work and
+``log2`` of its largest segment as depth (the subproblems of a level run in
+parallel, so only the largest counts); the base cases charge their edges as
+work and the largest base case's edge count as depth (each is a sequential
+sweep).  The sweep of all base cases runs here as one serial pass, which
+is why the fits use :func:`~repro.dendrogram.sequential.dendrogram_sequential`
+on one core: it gives the same dendrogram and skips the levels.
 
 The construction honours the ordered-dendrogram rule (the child cluster
 attached to the endpoint closer to the starting vertex goes left), so its
@@ -31,7 +54,7 @@ in-order leaf traversal equals Prim's visiting order from that vertex.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,162 +64,10 @@ from repro.dendrogram.sequential import (
     tree_vertex_distances,
 )
 from repro.dendrogram.structure import Dendrogram
+from repro.mst.boruvka import connected_components
 from repro.mst.edges import coerce_edge_arrays
+from repro.parallel.primitives import segment_ranges
 from repro.parallel.scheduler import current_tracker
-
-
-def connected_components(
-    u: np.ndarray, v: np.ndarray, num_nodes: int
-) -> np.ndarray:
-    """Label every node of the graph ``(u, v)`` with its component's least id.
-
-    Vectorized connectivity over nodes ``0 .. num_nodes-1``: each round
-    hooks the larger root of every edge that still crosses two trees onto
-    the smaller one (``np.minimum.at``, so a root takes its least adjacent
-    root), then pointer-jumps the forest flat.  Parents only ever decrease,
-    so no cycle forms and each root is the least id of its tree; every
-    tree with a crossing edge merges each round, so at most ``log2`` of the
-    component count rounds run.  Edges inside one tree are dropped as soon
-    as they stop crossing.
-    """
-    parent = np.arange(num_nodes, dtype=np.int64)
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    while True:
-        root_u, root_v = parent[u], parent[v]
-        crossing = root_u != root_v
-        if not crossing.any():
-            return parent
-        u, v = u[crossing], v[crossing]
-        root_u, root_v = root_u[crossing], root_v[crossing]
-        np.minimum.at(
-            parent,
-            np.maximum(root_u, root_v),
-            np.minimum(root_u, root_v),
-        )
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-
-
-def _light_component_slices(
-    labels: np.ndarray,
-) -> List[np.ndarray]:
-    """Group edge positions by component label, ordered by first occurrence.
-
-    Equivalent to the previous dict-based semisort: each group keeps its
-    edges in input order, and groups appear in the order their label is first
-    seen.  One stable argsort + one pass over the unique labels replaces the
-    per-edge dict traffic.
-    """
-    order = np.argsort(labels, kind="stable")
-    unique_labels, group_starts, group_counts = np.unique(
-        labels[order], return_index=True, return_counts=True
-    )
-    _, first_seen = np.unique(labels, return_index=True)
-    groups = []
-    for rank in np.argsort(first_seen, kind="stable"):
-        start = group_starts[rank]
-        groups.append(order[start : start + group_counts[rank]])
-    return groups
-
-
-def _build_recursive(
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    edge_w: np.ndarray,
-    cluster_of: np.ndarray,
-    remap: np.ndarray,
-    dendrogram: Dendrogram,
-    vertex_distance: np.ndarray,
-    heavy_fraction: float,
-    base_size: int,
-) -> int:
-    """Heavy/light recursion; returns the dendrogram root of this subproblem.
-
-    Postcondition: ``cluster_of[x] == root`` for every vertex ``x`` touched by
-    this subproblem's edges, so callers can redirect whole supernodes with a
-    single remap application.
-    """
-    tracker = current_tracker()
-    m = int(edge_u.shape[0])
-    tracker.add(m, max(math.log2(m + 1), 1.0), phase="dendrogram")
-    verts = np.unique(np.concatenate([edge_u, edge_v]))
-
-    num_heavy = max(1, int(m * heavy_fraction))
-    threshold_index = m - num_heavy
-    if m <= base_size or threshold_index <= 0:
-        # Small subproblem, or every edge would be "heavy" and recursing
-        # would not shrink the problem: run the bottom-up merge sweep.
-        root = merge_edges_bottom_up(
-            dendrogram, edge_u, edge_v, edge_w, cluster_of, vertex_distance
-        )
-        cluster_of[verts] = root
-        return root
-
-    # Heavy edges: the heaviest ``heavy_fraction`` of this subproblem's edges
-    # (at least one).  Parallel selection in the paper; a partial sort here.
-    order = np.argpartition(edge_w, threshold_index - 1)
-    light = order[:threshold_index]
-    heavy = order[threshold_index:]
-    light_u, light_v, light_w = edge_u[light], edge_v[light], edge_w[light]
-
-    # Light components: connected components induced by the light edges over
-    # the contracted supernodes (vertices sharing a representative are one
-    # supernode already).
-    rep_u = cluster_of[light_u]
-    rep_v = cluster_of[light_v]
-    supernodes, local = np.unique(
-        np.concatenate([rep_u, rep_v]), return_inverse=True
-    )
-    local_u = local[:threshold_index]
-    labels = connected_components(
-        local_u, local[threshold_index:], int(supernodes.shape[0])
-    )[local_u]
-
-    # Recursively build every light subproblem; its root becomes the
-    # representative of every supernode the component absorbed.  The remap is
-    # applied at the supernode level: a vertex that only touches heavy edges
-    # may share its supernode with vertices inside a light component, and it
-    # must follow that supernode into the component's new root.
-    absorbed_all: List[np.ndarray] = []
-    for positions in _light_component_slices(labels):
-        absorbed = np.unique(
-            np.concatenate([rep_u[positions], rep_v[positions]])
-        )
-        component_root = _build_recursive(
-            light_u[positions],
-            light_v[positions],
-            light_w[positions],
-            cluster_of,
-            remap,
-            dendrogram,
-            vertex_distance,
-            heavy_fraction,
-            base_size,
-        )
-        remap[absorbed] = component_root
-        absorbed_all.append(absorbed)
-    cluster_of[verts] = remap[cluster_of[verts]]
-    for absorbed in absorbed_all:
-        remap[absorbed] = absorbed  # restore the identity for reuse
-
-    # The heavy subproblem operates on the contracted vertices.
-    root = _build_recursive(
-        edge_u[heavy],
-        edge_v[heavy],
-        edge_w[heavy],
-        cluster_of,
-        remap,
-        dendrogram,
-        vertex_distance,
-        heavy_fraction,
-        base_size,
-    )
-    cluster_of[verts] = root
-    return root
 
 
 def dendrogram_topdown(
@@ -227,6 +98,9 @@ def dendrogram_topdown(
         algorithm below a size threshold).
     vertex_distance:
         Precomputed hop distances from ``start``.
+
+    Raises :class:`~repro.core.errors.InvalidParameterError` when the edges
+    do not form a spanning tree.
     """
     if num_points < 1:
         raise InvalidParameterError("num_points must be >= 1")
@@ -234,9 +108,10 @@ def dendrogram_topdown(
     dendrogram = Dendrogram(num_points)
     if num_points == 1:
         return dendrogram
-    if edge_u.shape[0] != num_points - 1:
+    m = num_points - 1
+    if edge_u.shape[0] != m:
         raise InvalidParameterError(
-            f"a spanning tree over {num_points} points needs {num_points - 1} edges, "
+            f"a spanning tree over {num_points} points needs {m} edges, "
             f"got {edge_u.shape[0]}"
         )
     if not 0.0 < heavy_fraction <= 1.0:
@@ -245,19 +120,83 @@ def dendrogram_topdown(
         vertex_distance = tree_vertex_distances(
             (edge_u, edge_v, edge_w), num_points, start
         )
+    base_size = max(base_size, 1)
 
-    cluster_of = np.arange(num_points, dtype=np.int64)
-    remap = np.arange(2 * num_points - 1, dtype=np.int64)
-    root = _build_recursive(
-        edge_u,
-        edge_v,
-        edge_w,
-        cluster_of,
-        remap,
-        dendrogram,
-        vertex_distance,
-        heavy_fraction,
-        max(base_size, 1),
+    by_rank = np.argsort(edge_w, kind="stable")
+    edge_u, edge_v, edge_w = edge_u[by_rank], edge_v[by_rank], edge_w[by_rank]
+    # Live edges in (segment, rank) order with the supernode of each
+    # endpoint; a segment is one subproblem, named by its starting position.
+    ranks = np.arange(m, dtype=np.int64)
+    rep_u, rep_v = edge_u, edge_v
+    starts = np.zeros(1, dtype=np.int64)
+    # Supernodes each edge had in its base case, indexed by rank.
+    base_u = np.empty(m, dtype=np.int64)
+    base_v = np.empty(m, dtype=np.int64)
+    local_of = np.empty(num_points + m, dtype=np.int64)
+    tracker = current_tracker()
+    largest_base = 0
+    while ranks.size:
+        counts = np.diff(starts, append=ranks.size)
+        # The paper runs the subproblems of a level in parallel: their work
+        # adds up, their depth contributes only its maximum.
+        tracker.add(
+            ranks.size, max(math.log2(int(counts.max()) + 1), 1.0), phase="dendrogram"
+        )
+        light_count = counts - np.maximum(
+            (counts * heavy_fraction).astype(np.int64), 1
+        )
+        split = (counts > base_size) & (light_count > 0)
+        if not split.all():
+            largest_base = max(largest_base, int(counts[~split].max()))
+        edge_split = np.repeat(split, counts)
+        done = ~edge_split
+        base_u[ranks[done]] = rep_u[done]
+        base_v[ranks[done]] = rep_v[done]
+        if not split.any():
+            break
+        ranks, rep_u, rep_v = ranks[edge_split], rep_u[edge_split], rep_v[edge_split]
+        counts, light_count = counts[split], light_count[split]
+        starts = np.cumsum(counts) - counts
+        # Heavy edges: the top ranks of every segment.
+        heavy = segment_ranges(-light_count, counts) >= 0
+        light = ~heavy
+
+        # Light components of all segments at once, over the supernodes of
+        # the light edges compressed to local ids by a mark pass.
+        light_u, light_v = rep_u[light], rep_v[light]
+        marked = np.zeros(local_of.shape[0], dtype=bool)
+        marked[light_u] = True
+        marked[light_v] = True
+        supernodes = np.flatnonzero(marked)
+        local_of[supernodes] = np.arange(supernodes.size, dtype=np.int64)
+        local_u = local_of[light_u]
+        labels = connected_components(local_u, local_of[light_v], supernodes.size)
+        largest = np.full(supernodes.size, -1, dtype=np.int64)
+        np.maximum.at(largest, labels[local_u], ranks[light])
+
+        # A component's root is node ``n + largest rank``: heavy endpoints
+        # whose supernode the component absorbed move to it.
+        for column in (rep_u, rep_v):
+            moved = heavy & marked[column]
+            column[moved] = num_points + largest[labels[local_of[column[moved]]]]
+
+        # Regroup by the new segments' largest rank: a light component's, or
+        # for a heavy part the rank at its old segment's end.
+        key = np.repeat(ranks[starts + counts - 1], counts)
+        key[light] = largest[labels[local_u]]
+        regroup = np.argsort(key, kind="stable")
+        ranks, rep_u, rep_v, key = (
+            ranks[regroup], rep_u[regroup], rep_v[regroup], key[regroup]
+        )
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+
+    # The base cases are independent sequential sweeps: the longest one is
+    # the critical path, though here they run as one sweep.
+    tracker.add(m, max(largest_base, 1), phase="dendrogram")
+    root = merge_edges_bottom_up(
+        dendrogram, edge_u, edge_v, edge_w, base_u, base_v, vertex_distance
     )
+    if dendrogram.num_internal != m:
+        raise InvalidParameterError("the edges do not form a spanning tree")
     dendrogram.set_root(root)
     return dendrogram

@@ -26,8 +26,8 @@ one-sided forms):
   infinite core distance) unless the pair resolves at box level;
 * every update re-assembles the state once — exact candidate edge weights
   via :meth:`Metric.exact_edge_weights`, the canonical MST normal form of
-  :func:`repro.mst.canonical_mst_arrays`, a fresh top-down dendrogram and
-  condensed tree.  The cold fit (:func:`fit_dynamic`, which is
+  :func:`repro.mst.canonical_mst_arrays`, a fresh dendrogram (bottom-up
+  sweep) and condensed tree.  The cold fit (:func:`fit_dynamic`, which is
   :func:`repro.serve.state.fit_state`'s MemoGFK fit) puts its MST into the
   same normal form.  Conformance therefore reduces to both sides
   presenting candidate sets with the same weight-class filtration, which
@@ -60,7 +60,7 @@ from repro.core.errors import InvalidParameterError, InvalidPointSetError
 from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.dendrogram.condensed import condense_dendrogram
-from repro.dendrogram.topdown import dendrogram_topdown
+from repro.dendrogram.sequential import dendrogram_sequential
 from repro.dynamic.spatial import (
     descend_singleton_pairs,
     live_cd_extrema,
@@ -87,6 +87,11 @@ SUPPORT_ATTR = "_dynamic"
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
+# Buffer points per (buffer point, base node) descent block.  With 1200
+# buffered points at n=10^4 (2D-SS-varden, one core) blocks of 64 were the
+# fastest of 16/64/256/1024 and held the transient peak at 19 MB against
+# 262 MB unblocked.
+_BUFFER_BLOCK = 64
 
 
 class DynamicSupport:
@@ -358,7 +363,7 @@ def _assemble(
     else:
         mst_u, mst_v = _EMPTY_I.copy(), _EMPTY_I.copy()
         mst_w = _EMPTY_F.copy()
-    dendrogram = dendrogram_topdown((mst_u, mst_v, mst_w), n)
+    dendrogram = dendrogram_sequential((mst_u, mst_v, mst_w), n)
     condensed = condense_dendrogram(dendrogram, previous.min_cluster_size)
     state = FitState(
         points=data,
@@ -782,18 +787,24 @@ def _buffer_winners(
     out_w = []
     if support.base_tree is not None and support.node_alive is not None:
         flat = support.base_tree.flat
-        q_idx, node_ids = descend_singleton_pairs(
-            flat, points, cds, support.node_alive
-        )
         masked_cd = support.stable_cd.copy()
         masked_cd[: support.n_base][~support.base_alive] = np.inf
-        win_u, win_v, win_w = masked_pair_winners(
-            flat, buffer[q_idx], node_ids, masked_cd, num_threads,
-            support.stable_points,
-        )
-        out_u.append(win_u)
-        out_v.append(win_v)
-        out_w.append(win_w)
+        # Every buffer point descends on its own, so blocks of them yield the
+        # same pairs (in another order, which the canonical MST normal form
+        # erases); blocking keeps the pair arrays, which grow with the
+        # buffer, from setting the update's peak memory.
+        for lo in range(0, buffer.size, _BUFFER_BLOCK):
+            block = slice(lo, lo + _BUFFER_BLOCK)
+            q_idx, node_ids = descend_singleton_pairs(
+                flat, points[block], cds[block], support.node_alive
+            )
+            win_u, win_v, win_w = masked_pair_winners(
+                flat, buffer[block][q_idx], node_ids, masked_cd, num_threads,
+                support.stable_points,
+            )
+            out_u.append(win_u)
+            out_v.append(win_v)
+            out_w.append(win_w)
     if buffer.size >= 2:
         side = KDTree(
             points, leaf_size=1, metric=support.metric, backend=support.backend

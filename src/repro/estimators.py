@@ -32,7 +32,7 @@ from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.dendrogram.condensed import hdbscan_labels_and_probabilities
 from repro.dendrogram.extract import cut_num_clusters
-from repro.dendrogram.topdown import dendrogram_topdown
+from repro.dendrogram.sequential import dendrogram_sequential
 from repro.emst.api import EMST_METHODS, emst
 from repro.hdbscan.api import HDBSCAN_METHODS, hdbscan
 
@@ -273,7 +273,7 @@ class EMST(_ReproEstimator):
             if data.shape[0] == 1:
                 self.labels_ = np.zeros(1, dtype=np.int64)
             else:
-                dendrogram = dendrogram_topdown(result.edges, data.shape[0])
+                dendrogram = dendrogram_sequential(result.edges, data.shape[0])
                 self.labels_ = cut_num_clusters(dendrogram, int(self.n_clusters))
         self._fit_complete = True
         return self

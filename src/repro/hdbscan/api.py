@@ -19,7 +19,7 @@ from repro.core.context import use_context
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import MetricLike
 from repro.core.points import as_points
-from repro.dendrogram.topdown import dendrogram_topdown
+from repro.dendrogram.sequential import dendrogram_sequential
 from repro.hdbscan.bruteforce import hdbscan_mst_bruteforce
 from repro.hdbscan.core_distance import core_distances as compute_core_distances
 from repro.hdbscan.gantao import hdbscan_mst_gantao
@@ -79,7 +79,6 @@ def hdbscan(
     method: str = "memogfk",
     compute_dendrogram: bool = True,
     start: int = 0,
-    heavy_fraction: float = 0.1,
     num_threads: Optional[int] = None,
     metric: MetricLike = None,
     backend: BackendLike = None,
@@ -110,8 +109,6 @@ def hdbscan(
         plot; the MST alone suffices for :meth:`HDBSCANResult.dbscan_labels`).
     start:
         Starting vertex for the ordered dendrogram / reachability plot.
-    heavy_fraction:
-        Heavy-edge fraction of the top-down dendrogram construction.
     num_threads:
         Worker threads for every batched stage of the pipeline: the
         core-distance k-NN blocks, the WSPD/MemoGFK traversal sweeps, the
@@ -213,7 +210,6 @@ def hdbscan(
                     num_threads=num_threads,
                     min_pts=int(min_pts),
                     start=int(start),
-                    heavy_fraction=float(heavy_fraction),
                     compute_dendrogram=bool(compute_dendrogram),
                     options=repr(sorted(method_kwargs.items())),
                 ),
@@ -277,9 +273,7 @@ def hdbscan(
                 arrays, _ = checkpoint.load_phase("dendrogram")
                 dendrogram = Dendrogram.from_state_arrays(arrays)
             else:
-                dendrogram = dendrogram_topdown(
-                    mst.edges, n, start=start, heavy_fraction=heavy_fraction
-                )
+                dendrogram = dendrogram_sequential(mst.edges, n, start=start)
                 if checkpoint is not None:
                     checkpoint.save_phase("dendrogram", dendrogram.state_arrays())
             timings["dendrogram"] = time.perf_counter() - start_time

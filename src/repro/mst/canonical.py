@@ -23,6 +23,13 @@ running between block-minimum representatives.  Two runs that agree on the
 filtration — a cold fit and any interleaved insert/delete sequence reaching
 the same point set — produce byte-identical edge arrays, and therefore
 byte-identical dendrograms, condensed trees and labels downstream.
+
+The candidates are first filtered to the forest a Kruskal sweep over the
+weight order accepts, by :func:`repro.mst.boruvka.boruvka_ranked`: a
+vectorized Borůvka keyed by each candidate's position in that order.  The
+keys are unique, so its forest and the order of its edges are Kruskal's,
+self-loops are never accepted, and no Python loop runs per candidate; only
+the ``n - 1`` accepted edges enter the normal-form sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.mst.boruvka import boruvka_ranked
 from repro.mst.kruskal import parallel_argsort
-from repro.parallel.unionfind import UnionFind
 
 
 def _canonical_sweep(
@@ -172,7 +179,7 @@ def canonical_mst_arrays(
     ``u/v/w`` may be any candidate edge collection whose weight-class
     filtration matches the underlying graph's (an MST produced by any of the
     engine's methods, or the BCCP values of a covering well-separated
-    decomposition — supersets are fine, Kruskal discards the slack).  The
+    decomposition — supersets are fine, the filter discards the slack).  The
     output is sorted by ``(w, u, v)`` with ``u < v`` per edge and is a pure
     function of the filtration, so two candidate sets inducing the same
     partitions produce byte-identical arrays.
@@ -201,37 +208,10 @@ def canonical_mst_arrays(
         order = parallel_argsort(w, num_threads=num_threads)
     su = u[order]
     sv = v[order]
-    sw = w[order]
-    union_find = UnionFind(num_points)
-    # Chunked union sweep with component-snapshot pruning (the
-    # kruskal_filtered_arrays trick): candidate sets here outnumber the
-    # n - 1 survivors by orders of magnitude, and pruning only skips edges
-    # the per-edge sweep would reject, so the accepted set is identical.
-    chunk = 1 << 16
-    kept_u = []
-    kept_v = []
-    kept_w = []
-    for lo in range(0, int(su.shape[0]), chunk):
-        if union_find.num_components == 1:
-            break
-        hi = min(lo + chunk, int(su.shape[0]))
-        roots = union_find.roots()
-        cu = su[lo:hi]
-        cv = sv[lo:hi]
-        keep = roots[cu] != roots[cv]
-        if not keep.any():
-            continue
-        ku = cu[keep]
-        kv = cv[keep]
-        accepted = union_find.union_many(ku, kv)
-        if accepted.any():
-            kept_u.append(ku[accepted])
-            kept_v.append(kv[accepted])
-            kept_w.append(sw[lo:hi][keep][accepted])
-    empty_i = np.empty(0, dtype=np.int64)
-    tu = np.concatenate(kept_u) if kept_u else empty_i
-    tv = np.concatenate(kept_v) if kept_v else empty_i.copy()
-    tw = np.concatenate(kept_w) if kept_w else np.empty(0, dtype=np.float64)
+    # Rank-keyed Borůvka accepts exactly the edges, in exactly the order, of
+    # a Kruskal sweep over ``order``; self-loops are never accepted.
+    picked = boruvka_ranked(su, sv, num_points)
+    tu, tv, tw = su[picked], sv[picked], w[order[picked]]
     if int(tu.shape[0]) != num_points - 1:
         raise InvalidParameterError(
             f"candidate edges span {num_points - int(tu.shape[0])} components; "

@@ -66,6 +66,19 @@ def segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def pointer_jump(parent: np.ndarray) -> np.ndarray:
+    """Flatten a forest given as a parent array (roots point at themselves).
+
+    Every round replaces each parent by its grandparent, so a chain of
+    depth ``d`` is flat after ``log2(d)`` vectorized rounds.
+    """
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
 def parallel_filter(items: Sequence, predicate: Callable, *, phase: str = "primitive") -> list:
     """Keep the items for which ``predicate`` is true, preserving order."""
     items = list(items)

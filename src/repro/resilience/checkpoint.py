@@ -52,7 +52,7 @@ from repro.resilience.faults import InjectedCrashError, fault_check
 #: Version stamp of the checkpoint layout *and* of the engine's deterministic
 #: pipeline.  Part of every fingerprint: a checkpoint written by an engine
 #: whose phase semantics changed must not be resumed byte-identically.
-ENGINE_VERSION = "repro-engine-8"
+ENGINE_VERSION = "repro-engine-9"
 
 _MANIFEST_NAME = "manifest.json"
 _PHASE_NAME_PATTERN = re.compile(r"^[a-z0-9][a-z0-9-]*$")

@@ -46,7 +46,7 @@ from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
 from repro.dendrogram.condensed import CondensedTree, condense_dendrogram
 from repro.dendrogram.structure import Dendrogram
-from repro.dendrogram.topdown import dendrogram_topdown
+from repro.dendrogram.sequential import dendrogram_sequential
 from repro.hdbscan.api import hdbscan
 from repro.mst.canonical import canonical_mst_arrays
 from repro.resilience.checkpoint import (
@@ -455,10 +455,11 @@ def _fit(
     """The one cold fit behind :func:`fit_state` and the dynamic engine.
 
     Validates the parameters before any work, runs :func:`hdbscan` without
-    its dendrogram, puts the MST into canonical form and builds the top-down
-    dendrogram, the condensed tree and the serving tree from it.  Accepts
-    any ``n >= 0``, clamping ``minPts`` to ``min(min_pts, n)`` like the
-    HDBSCAN* drivers do; the state records the requested ``min_pts``.
+    its dendrogram, puts the MST into canonical form and builds the
+    dendrogram (bottom-up sweep), the condensed tree and the serving tree
+    from it.  Accepts any ``n >= 0``, clamping ``minPts`` to
+    ``min(min_pts, n)`` like the HDBSCAN* MST functions do; the state
+    records the requested ``min_pts``.
     """
     if int(min_pts) < 1:
         raise InvalidParameterError("min_pts must be >= 1")
@@ -496,7 +497,7 @@ def _fit(
         # queries prune with the same bounds the fit used.
         tree = KDTree(data, leaf_size=int(leaf_size), metric=metric, backend=backend)
         tree.annotate_core_distances(core_distances)
-        dendrogram = dendrogram_topdown((mst_u, mst_v, mst_w), n)
+        dendrogram = dendrogram_sequential((mst_u, mst_v, mst_w), n)
         condensed = condense_dendrogram(dendrogram, int(min_cluster_size))
     return FitState(
         points=data,

@@ -22,7 +22,8 @@ from repro.dendrogram.sequential import tree_vertex_distances
 from repro.dendrogram.topdown import connected_components
 from repro.dynamic import fit_dynamic
 from repro.emst import emst_bruteforce, emst_memogfk
-from repro.hdbscan import core_distances, hdbscan_mst_memogfk
+from repro.hdbscan import core_distances, hdbscan, hdbscan_mst_memogfk
+from repro.mst import kruskal
 from repro.parallel import UnionFind
 
 BUILDERS = [dendrogram_sequential, dendrogram_topdown]
@@ -308,6 +309,137 @@ class TestLightComponentLabels:
         for name in want:
             assert got[name].dtype == want[name].dtype, name
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@st.composite
+def weighted_trees(draw):
+    """Spanning trees (random attachment, paths, stars) with tie-heavy weights."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    shape = draw(st.sampled_from(["tree", "path", "star"]))
+    if shape == "path":
+        u, v = perm[:-1], perm[1:]
+    elif shape == "star":
+        u, v = np.full(n - 1, perm[0]), perm[1:]
+    else:
+        u, v = perm[rng.integers(0, np.arange(1, n))], perm[1:]
+    flip = rng.random(n - 1) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    classes = draw(st.sampled_from([1, 3, 10, None]))
+    if classes is None:
+        w = rng.random(n - 1)
+    else:
+        w = rng.integers(0, classes, n - 1).astype(np.float64)
+    order = rng.permutation(n - 1)
+    return u[order].astype(np.int64), v[order].astype(np.int64), w[order], n
+
+
+def assert_same_dendrogram(got, want):
+    got, want = got.state_arrays(), want.state_arrays()
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def assert_topdown_equals_sequential(u, v, w, n):
+    reference = dendrogram_sequential((u, v, w), n)
+    for heavy_fraction in (0.05, 0.1, 0.5, 1.0):
+        for base_size in (1, 32, n):
+            assert_same_dendrogram(
+                dendrogram_topdown(
+                    (u, v, w), n, heavy_fraction=heavy_fraction, base_size=base_size
+                ),
+                reference,
+            )
+
+
+class TestTopDownEqualsSequential:
+    """Node ``n + r`` belongs to the edge of stable weight rank ``r``, so the
+    level-synchronous top-down build is the sequential sweep's dendrogram
+    byte for byte, whatever the heavy fraction and base size."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tree=weighted_trees())
+    def test_random_trees(self, tree):
+        assert_topdown_equals_sequential(*tree)
+
+    @pytest.mark.parametrize("min_pts", [1, 4, 10])
+    def test_tie_heavy_mr_mst(self, min_pts):
+        grid = np.stack(
+            np.meshgrid(np.arange(20.0), np.arange(20.0)), axis=-1
+        ).reshape(-1, 2)
+        state = fit_dynamic(np.concatenate([grid, grid[::4]]), min_pts=min_pts)
+        assert_topdown_equals_sequential(
+            state.mst_u, state.mst_v, state.mst_w, state.num_points
+        )
+
+    def test_long_chain(self):
+        n = 50_000
+        u = np.arange(n - 1, dtype=np.int64)
+        assert_topdown_equals_sequential(u, u + 1, u.astype(np.float64), n)
+
+    def test_cycle_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="spanning tree"):
+            dendrogram_topdown([(0, 1, 1.0), (1, 0, 2.0)], 3)
+
+    def test_sequential_rejects_cycle(self):
+        with pytest.raises(InvalidParameterError, match="spanning tree"):
+            dendrogram_sequential([(0, 1, 1.0), (1, 0, 2.0)], 3)
+
+
+class TestFitsUseTheSameDendrogram:
+    """The fits build their dendrogram with the sequential sweep; it is the
+    paper's top-down dendrogram byte for byte."""
+
+    def test_single_linkage(self, clustered_points):
+        points, _ = clustered_points
+        result = single_linkage(points, start=5)
+        assert_same_dendrogram(
+            result.dendrogram,
+            dendrogram_topdown(result.emst.edges, points.shape[0], start=5),
+        )
+
+    def test_hdbscan(self, clustered_points):
+        points, _ = clustered_points
+        result = hdbscan(points, 5, start=3)
+        assert_same_dendrogram(
+            result.dendrogram,
+            dendrogram_topdown(result.mst.edges, points.shape[0], start=3),
+        )
+
+    def test_heavy_fraction_is_not_a_fit_option(self, small_points_2d):
+        with pytest.raises(InvalidParameterError):
+            hdbscan(small_points_2d, 5, heavy_fraction=0.1)
+
+
+class TestScipyOracle:
+    """SciPy's single linkage over the same distances is an independent oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("heavy_fraction", [0.1, 0.5])
+    def test_linkage_and_cophenet_match_scipy(self, seed, heavy_fraction):
+        from scipy.cluster.hierarchy import cophenet, is_valid_linkage, linkage
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 150))
+        points = rng.random((n, 3))
+        distances = pdist(points)
+        assert np.unique(distances).size == distances.size  # tie-free
+        i, j = np.triu_indices(n, 1)
+        mst = kruskal((i, j, distances), n)
+        matrix = dendrogram_topdown(
+            mst, n, heavy_fraction=heavy_fraction, base_size=4
+        ).to_linkage_matrix()
+        assert is_valid_linkage(matrix)
+        expected = cophenet(linkage(distances, "single"))
+        assert cophenet(matrix).tobytes() == expected.tobytes()
 
 
 class TestReachability:

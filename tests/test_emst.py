@@ -75,6 +75,40 @@ class TestTranslatedData:
         assert weights.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("shift", [1e5, 1e6, 1e7])
+    def test_delaunay_on_shifted_2d_points(self, shift):
+        # Qhull exhausts its joggle retries on these points unless they are
+        # first translated (exactly) next to the origin.
+        points = np.random.default_rng(0).random((1200, 2)) + shift
+        expected = np.sort(emst_bruteforce(points).edges.as_arrays()[2])
+        weights = np.sort(emst(points, method="delaunay").edges.as_arrays()[2])
+        assert weights.tobytes() == expected.tobytes()
+
+    def test_translation_is_skipped_when_it_would_round(self):
+        from repro.spatial.delaunay import _exact_translation
+
+        points = np.array([[1.0, -4.0], [1.5, -3.0], [2.0, -2.0]])
+        assert np.array_equal(_exact_translation(points), points - [1.0, -2.0])
+        for spread in ([[1.0, 5.0], [2.5, 6.0], [2.0, 7.0]],
+                       [[-1.0, 5.0], [1.0, 6.0], [0.5, 7.0]]):
+            spread = np.array(spread)
+            assert _exact_translation(spread) is spread
+
+    def test_qhull_failure_is_a_typed_error(self, monkeypatch):
+        from scipy.spatial import QhullError
+
+        from repro.core.errors import InvalidPointSetError
+        from repro.spatial import delaunay
+
+        def failing(*args, **kwargs):
+            raise QhullError("QH6229 simulated")
+
+        monkeypatch.setattr(delaunay, "Delaunay", failing)
+        points = np.random.default_rng(1).random((50, 2))
+        with pytest.raises(InvalidPointSetError, match="Qhull"):
+            emst(points, method="delaunay")
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize(
         "algorithm",

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.errors import InvalidParameterError
 from repro.mst import (
     Edge,
     EdgeList,
     boruvka,
+    canonical_mst_arrays,
     edges_from_arrays,
     is_spanning_tree,
     kruskal,
@@ -15,6 +17,9 @@ from repro.mst import (
     prim_order,
     total_weight,
 )
+from repro.mst.boruvka import boruvka_ranked
+from repro.mst.canonical import _canonical_sweep
+from repro.mst.kruskal import parallel_argsort
 from repro.parallel import UnionFind
 
 
@@ -239,6 +244,108 @@ class TestBoruvka:
         tree = boruvka(edges, 4)
         assert is_spanning_tree(tree, 4)
         assert total_weight(tree) == pytest.approx(3.0)
+
+
+def chunked_kruskal_canonical(u, v, w, num_points, order=None):
+    """The chunked union-find Kruskal filter ``canonical_mst_arrays`` ran
+    before the rank-keyed Borůvka (reference)."""
+    if order is None:
+        order = parallel_argsort(w)
+    su = u[order]
+    sv = v[order]
+    sw = w[order]
+    union_find = UnionFind(num_points)
+    chunk = 1 << 16
+    kept_u = []
+    kept_v = []
+    kept_w = []
+    for lo in range(0, int(su.shape[0]), chunk):
+        if union_find.num_components == 1:
+            break
+        hi = min(lo + chunk, int(su.shape[0]))
+        roots = union_find.roots()
+        cu = su[lo:hi]
+        cv = sv[lo:hi]
+        keep = roots[cu] != roots[cv]
+        if not keep.any():
+            continue
+        ku = cu[keep]
+        kv = cv[keep]
+        accepted = union_find.union_many(ku, kv)
+        if accepted.any():
+            kept_u.append(ku[accepted])
+            kept_v.append(kv[accepted])
+            kept_w.append(sw[lo:hi][keep][accepted])
+    empty_i = np.empty(0, dtype=np.int64)
+    tu = np.concatenate(kept_u) if kept_u else empty_i
+    tv = np.concatenate(kept_v) if kept_v else empty_i.copy()
+    tw = np.concatenate(kept_w) if kept_w else np.empty(0, dtype=np.float64)
+    if int(tu.shape[0]) != num_points - 1:
+        raise InvalidParameterError("disconnected")
+    return _canonical_sweep(tu, tv, tw, num_points)
+
+
+def messy_candidates(num_points, num_edges, seed, classes):
+    """A connected candidate set with parallel edges, self-loops and ties."""
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(num_points)
+    u = np.concatenate([path[:-1], rng.integers(0, num_points, num_edges)])
+    v = np.concatenate([path[1:], rng.integers(0, num_points, num_edges)])
+    repeat = rng.integers(0, u.size, num_edges // 4)
+    u = np.concatenate([u, v[repeat], np.arange(5) % num_points])
+    v = np.concatenate([v, u[repeat], np.arange(5) % num_points])
+    w = rng.integers(0, classes, u.size).astype(np.float64) if classes else rng.random(u.size)
+    shuffle = rng.permutation(u.size)
+    return u[shuffle].astype(np.int64), v[shuffle].astype(np.int64), w[shuffle]
+
+
+class TestRankedBoruvka:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("classes", [1, 3, 50, None])
+    def test_accepts_what_kruskal_accepts(self, seed, classes):
+        u, v, w = messy_candidates(80, 400, seed, classes)
+        order = np.argsort(w, kind="stable")
+        su, sv = u[order], v[order]
+        expected = np.flatnonzero(UnionFind(80).union_many(su, sv))
+        assert np.array_equal(boruvka_ranked(su, sv, 80), expected)
+
+    def test_forest_and_self_loops(self):
+        picked = boruvka_ranked(np.array([0, 2, 1, 3]), np.array([0, 3, 1, 2]), 5)
+        assert picked.tolist() == [1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boruvka_ties_break_by_index_like_kruskal(self, seed):
+        u, v, w = messy_candidates(40, 150, seed, 3)
+        edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
+        assert sorted(boruvka(edges, 40)) == sorted(kruskal(edges, 40))
+
+
+class TestCanonicalFilter:
+    """The vectorized filter is the chunked Kruskal filter byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("classes", [1, 2, 7, None])
+    @pytest.mark.parametrize("num_points", [2, 30, 200])
+    def test_equals_chunked_kruskal(self, seed, classes, num_points):
+        u, v, w = messy_candidates(num_points, 6 * num_points, seed, classes)
+        got = canonical_mst_arrays(u, v, w, num_points)
+        want = chunked_kruskal_canonical(u, v, w, num_points)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_any_ascending_order_gives_the_same_output(self):
+        u, v, w = messy_candidates(120, 700, 3, 4)
+        reverse_ties = np.lexsort((-np.arange(w.size), w))
+        got = canonical_mst_arrays(u, v, w, 120, order=reverse_ties)
+        want = chunked_kruskal_canonical(u, v, w, 120)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_disconnected_candidates_are_rejected(self):
+        with pytest.raises(InvalidParameterError, match="components"):
+            canonical_mst_arrays(
+                np.array([0, 2, 1]), np.array([1, 3, 1]), np.ones(3), 4
+            )
 
 
 class TestPrim:

@@ -100,6 +100,15 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointMismatchError, match="method"):
             CheckpointManager(checkpoint_dir, {"algorithm": "unit", "method": "other"})
 
+    def test_previous_engine_checkpoint_is_refused(self, checkpoint_dir):
+        # A dendrogram phase written by engine 8 has other node ids.
+        stale = dict(self.FINGERPRINT, engine="repro-engine-8")
+        CheckpointManager(checkpoint_dir, stale).save_phase(
+            "dendrogram", {"left": np.arange(3)}
+        )
+        with pytest.raises(CheckpointMismatchError, match="engine"):
+            CheckpointManager(checkpoint_dir, self.FINGERPRINT)
+
     def test_resume_false_discards_existing_state(self, checkpoint_dir):
         manager = CheckpointManager(checkpoint_dir, self.FINGERPRINT)
         manager.save_phase("alpha", {"x": np.ones(3)})

@@ -200,6 +200,15 @@ class TestSaveLoad:
         # An explicit matching request is fine.
         load_state(path, metric="euclidean")
 
+    def test_state_from_the_previous_engine_is_refused(self, points, tmp_path):
+        # Engine 8 numbered dendrogram nodes differently, so its saved
+        # states must be refitted, never served.
+        path = tmp_path / "state.npz"
+        with mock.patch("repro.serve.state.ENGINE_VERSION", "repro-engine-8"):
+            fit_state(points[:60], min_pts=MIN_PTS).save(path)
+        with pytest.raises(FitStateError, match="repro-engine-8"):
+            load_state(path)
+
     def test_non_state_npz_is_refused(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, data=np.arange(4))
