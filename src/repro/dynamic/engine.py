@@ -17,13 +17,26 @@ one-sided forms):
   ``alive`` bit and the live core-distance extrema are re-annotated in one
   sweep.  Its WSPD pair decomposition is cached with per-pair BCCP winners
   and repaired locally per update;
-* inserted points go to a side *buffer* paired against the base tree by a
-  per-point separation descent and against each other by a tiny WSPD of
-  their own; a log-scheduled full rebuild folds the buffer in (or drops
-  the tombstones) before either side grows past a fixed fraction of n;
+* inserted points go to a side *buffer*.  Each buffered point is paired
+  against the base tree once, by a separation descent, and its (point,
+  base node) pairs are cached beside the base pairs with their winners and
+  exact values.  The same update pass repairs both tables under the same
+  rules: pairs of a dead or re-cored buffered point are dropped (a
+  re-cored point descends again, like a new insert), pairs whose node lost
+  every alive member are dropped, pairs whose node holds a touched base
+  point are re-tested and re-split, and a winner is resolved again only
+  when it died or its value grew; a base member whose core distance
+  shrank is checked with one exact row against the buffered point.  So
+  an update resolves only its own inserts' pairs and the few winners it
+  invalidated, not the whole buffer.  Buffered points pair with each
+  other through a tiny WSPD of their own, rebuilt every update.  A
+  log-scheduled full rebuild folds the buffer in (or drops the
+  tombstones), clearing the cached buffer pairs with it, before either
+  side grows past a fixed fraction of n;
 * every pair winner, base or buffer, comes from the cold fit's BCCP
   kernel (:func:`repro.wspd.bccp.bccp_windows`, dead points masked by an
-  infinite core distance) unless the pair resolves at box level;
+  infinite core distance) unless the pair resolves at box level or by
+  one exact row;
 * every update re-assembles the state once — exact candidate edge weights
   via :meth:`Metric.exact_edge_weights`, the canonical MST normal form of
   :func:`repro.mst.canonical_mst_arrays`, a fresh dendrogram (bottom-up
@@ -66,6 +79,8 @@ from repro.dynamic.spatial import (
     live_cd_extrema,
     masked_pair_winners,
     node_any_flags,
+    node_member_rows,
+    singleton_separated_mask,
     winner_beat_mask,
 )
 from repro.mst.canonical import canonical_mst_arrays
@@ -87,10 +102,10 @@ SUPPORT_ATTR = "_dynamic"
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
-# Buffer points per (buffer point, base node) descent block.  With 1200
-# buffered points at n=10^4 (2D-SS-varden, one core) blocks of 64 were the
-# fastest of 16/64/256/1024 and held the transient peak at 19 MB against
-# 262 MB unblocked.
+# Descent roots per (buffer point, base node) block.  With 1200 buffered
+# points descending from the root at n=10^4 (2D-SS-varden, one core) blocks
+# of 64 were the fastest of 16/64/256/1024 and held the transient peak at
+# 19 MB against 262 MB unblocked.
 _BUFFER_BLOCK = 64
 
 
@@ -101,7 +116,11 @@ class DynamicSupport:
     tree's points, later slots are buffered inserts; ``order`` maps each
     current row to its stable id (deletes compact it, inserts append).
     ``pair_u`` / ``pair_v`` hold the cached BCCP winner (as stable ids) of
-    every live base WSPD pair ``(pair_a, pair_b)``.
+    every live base WSPD pair ``(pair_a, pair_b)``.  The buffer's pairs
+    against the base tree are cached beside them: ``bpair_q`` is the
+    buffered point (its own side of the pair and of the winner),
+    ``bpair_node`` the base node, ``bpair_v`` the winning base point and
+    ``bpair_w`` the pair's exact minimum.
     """
 
     def __init__(
@@ -138,6 +157,13 @@ class DynamicSupport:
         # Cached ascending-by-weight permutation of ``pair_w``; repaired
         # incrementally so updates merge instead of re-sorting all pairs.
         self.pair_wsort: Optional[np.ndarray] = None
+        self.bpair_q = _EMPTY_I.copy()
+        self.bpair_node = _EMPTY_I.copy()
+        self.bpair_v = _EMPTY_I.copy()
+        self.bpair_w = _EMPTY_F.copy()
+        # The same permutation for ``bpair_w``; the table starts empty, so
+        # it is kept from the start.
+        self.bpair_wsort = _EMPTY_I.copy()
 
     @property
     def n_base(self) -> int:
@@ -283,28 +309,62 @@ def _build_support(
     return support
 
 
+def _merge_sorted(
+    values: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """Merge two ascending-by-``values`` position lists into one.
+
+    On ties the ``second`` positions land before the equal-valued ``first``
+    ones, which is irrelevant to every consumer (the canonical MST sweep
+    partitions by weight class, not by within-class order).
+    """
+    if second.size == 0:
+        return first
+    ins = np.searchsorted(values[first], values[second], side="left")
+    total = first.size + second.size
+    out = np.empty(total, dtype=np.int64)
+    pos_second = ins + np.arange(second.size, dtype=np.int64)
+    remaining = np.ones(total, dtype=bool)
+    remaining[pos_second] = False
+    out[pos_second] = second
+    out[remaining] = first
+    return out
+
+
 def _merge_by_value(
     values: np.ndarray, sorted_pos: np.ndarray, fresh_pos: np.ndarray
 ) -> np.ndarray:
-    """Merge two position lists into one ascending-by-``values`` permutation.
+    """:func:`_merge_sorted` of ``sorted_pos`` and the sorted ``fresh_pos``."""
+    return _merge_sorted(
+        values,
+        sorted_pos,
+        fresh_pos[np.argsort(values[fresh_pos], kind="stable")],
+    )
 
-    ``sorted_pos`` must already be ascending by ``values``; ``fresh_pos`` is
-    sorted here.  On ties the fresh positions land before the equal-valued
-    sorted ones, which is irrelevant to every consumer (the canonical MST
-    sweep partitions by weight class, not by within-class order).
+
+def _repaired_order(
+    order: np.ndarray,
+    kept: np.ndarray,
+    dirty: np.ndarray,
+    num_fresh: int,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Carry an ascending-by-weight permutation across one repair.
+
+    ``order`` sorts the old pair table; the new table is the old pairs at
+    ``kept`` followed by ``num_fresh`` fresh ones, and ``values`` are its
+    weights.  Kept pairs whose value did not change (``dirty`` is a mask
+    over the old table) stay in their old relative order, so only the
+    changed and fresh values are sorted and merged back in.
     """
-    if fresh_pos.size == 0:
-        return sorted_pos
-    f_ord = fresh_pos[np.argsort(values[fresh_pos], kind="stable")]
-    ins = np.searchsorted(values[sorted_pos], values[f_ord], side="left")
-    total = sorted_pos.size + f_ord.size
-    out = np.empty(total, dtype=np.int64)
-    pos_fresh = ins + np.arange(f_ord.size, dtype=np.int64)
-    remaining = np.ones(total, dtype=bool)
-    remaining[pos_fresh] = False
-    out[pos_fresh] = f_ord
-    out[remaining] = sorted_pos
-    return out
+    old_to_new = np.full(dirty.size, -1, dtype=np.int64)
+    old_to_new[kept] = np.arange(kept.size, dtype=np.int64)
+    clean = order[(old_to_new[order] >= 0) & ~dirty[order]]
+    fresh = np.concatenate([
+        old_to_new[np.flatnonzero(dirty & (old_to_new >= 0))],
+        np.arange(kept.size, kept.size + num_fresh, dtype=np.int64),
+    ])
+    return _merge_by_value(values, old_to_new[clean], fresh)
 
 
 def _assemble(
@@ -320,9 +380,10 @@ def _assemble(
 ) -> FitState:
     """The state an update of ``previous`` produces, with its parameters.
 
-    Candidates are the cached base-pair winners plus the update's buffer
-    winners; every value is an exact per-pair minimum from
-    :func:`repro.wspd.bccp.bccp_windows` or a box-level resolution (row-wise
+    Candidates are the cached base-pair and buffer×base winners plus the
+    update's buffer×buffer winners; every value is an exact per-pair
+    minimum from :func:`repro.wspd.bccp.bccp_windows`, a box-level
+    resolution or an :meth:`Metric.exact_edge_weights` row (one row-wise
     kernel, so a value is bitwise independent of when and in which batch it
     was evaluated).  The union is canonicalized into the normal-form MST and
     rolled into a fresh dendrogram, condensed tree and serving state.
@@ -332,24 +393,27 @@ def _assemble(
         support.stable_cd[support.order], dtype=np.float64
     )
     if n >= 2:
-        cand_u = np.concatenate([support.pair_u, extra_u])
-        cand_v = np.concatenate([support.pair_v, extra_v])
-        weights = np.concatenate([support.pair_w, extra_w])
+        cand_u = np.concatenate([support.pair_u, support.bpair_q, extra_u])
+        cand_v = np.concatenate([support.pair_v, support.bpair_v, extra_v])
+        weights = np.concatenate([support.pair_w, support.bpair_w, extra_w])
         current_of = np.empty(support.stable_points.shape[0], dtype=np.int64)
         current_of[support.order] = np.arange(n, dtype=np.int64)
-        # The cached ascending order over pair_w (repaired incrementally
-        # alongside the pairs) only needs the handful of buffer winners
-        # merged in — re-sorting all candidates every update would dwarf
-        # the actual repair work.
+        # Both cached tables keep their ascending order across repairs, so
+        # only the buffer×buffer winners are sorted here; re-sorting all
+        # candidates every update would dwarf the actual repair work.
         if support.pair_wsort is None:
             support.pair_wsort = parallel_argsort(
                 support.pair_w, num_threads=num_threads
             )
-        order = _merge_by_value(
+        num_base = support.pair_w.size
+        cached = num_base + support.bpair_w.size
+        order = _merge_sorted(
             weights,
             support.pair_wsort,
-            np.arange(
-                support.pair_w.size, weights.size, dtype=np.int64
+            _merge_by_value(
+                weights,
+                num_base + support.bpair_wsort,
+                np.arange(cached, weights.size, dtype=np.int64),
             ),
         )
         mst_u, mst_v, mst_w = canonical_mst_arrays(
@@ -576,15 +640,14 @@ def _update(
     changed[changed_rows.size:] = True  # new points are always "changed"
     serving.annotate_core_distances(support.stable_cd[support.order])
 
-    in_base = touched < support.n_base
-    _repair_base_pairs(
+    _repair_pairs(
         support,
-        died=dying_base,
-        changed=touched[changed & in_base],
-        decreased=touched[(kth < previous) & in_base],
+        died=dying_stable,
+        changed=touched[changed],
+        decreased=touched[kth < previous],
         num_threads=num_threads,
     )
-    extra_u, extra_v, extra_w = _buffer_winners(support, num_threads)
+    extra_u, extra_v, extra_w = _buffer_buffer_winners(support, num_threads)
     return _assemble(
         state, support, data, serving, extra_u, extra_v, extra_w,
         num_threads=num_threads,
@@ -619,7 +682,7 @@ def _resplit(
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
-def _repair_base_pairs(
+def _repair_pairs(
     support: DynamicSupport,
     *,
     died: np.ndarray,
@@ -627,199 +690,310 @@ def _repair_base_pairs(
     decreased: np.ndarray,
     num_threads,
 ) -> None:
-    """Repair the cached base WSPD decomposition after one update.
+    """Repair every cached pair winner after one update, in one pass.
 
-    Refreshes the live annotations, drops pairs with an all-dead side,
-    re-tests (and re-splits, alive-filtered) pairs containing touched
-    points, and recomputes winners only where the cached one is invalidated:
-    the winner died, its cached value *grew* under the refreshed core
-    distances (every other cached candidate was already ≥ the old value, so
-    a non-growing winner stays minimal over the unchanged candidates), or
-    the certified :func:`winner_beat_mask` bound admits a *decreased* point
-    undercutting the (refreshed) value.  Only points whose core distance
-    shrank (``decreased``) can undercut a stable winner — every candidate
-    value is monotone in its endpoints' core distances, so a pure-growth
-    update (deletes only) skips the beat test entirely.  Deaths only remove
-    candidates and growth only raises values, so one call handles the
-    ``died``, ``changed`` and ``decreased`` sets of a mixed update together.
-    Both-leaf pairs are
-    singletons whose winner is fixed by membership; only their value is
-    refreshed.
+    ``died`` holds the stable ids the update deleted, ``changed`` the alive
+    ones whose core distance changed (every insert among them) and
+    ``decreased`` those whose core distance shrank.  The base tree's live
+    annotations are refreshed once; then the base WSPD pairs
+    (:func:`_repair_base_pairs`) and the buffer×base pairs
+    (:func:`_buffer_winners`) are repaired under the same rules: a pair
+    with a side that has no alive member is dropped; a pair whose node
+    holds a *touched* base point (dead, or its core distance changed) is
+    re-tested for separation and re-split if it fails; and a cached winner
+    is resolved again only when :func:`_stale_winners` or a decreased
+    member invalidates it.
     """
     tree = support.base_tree
-    if tree is None or support.n_base == 0:
+    if tree is None:
         return
     flat = tree.flat
-    alive = support.base_alive
     n_base = support.n_base
+    alive = support.base_alive
     flat.cd_min, flat.cd_max = live_cd_extrema(
         flat, support.stable_cd[:n_base], alive
     )
-    node_alive = node_any_flags(flat, alive)
-    support.node_alive = node_alive
+    support.node_alive = node_any_flags(flat, alive)
+    size = support.stable_points.shape[0]
+    live = np.zeros(size, dtype=bool)
+    live[:n_base] = alive
+    live[support.buffer] = True
+    changed_mask = np.zeros(size, dtype=bool)
+    changed_mask[changed] = True
+    touched = np.zeros(n_base, dtype=bool)
+    touched[died[died < n_base]] = True
+    touched[changed[changed < n_base]] = True
+    inverse = np.empty(n_base, dtype=np.int64)
+    inverse[flat.perm] = np.arange(n_base, dtype=np.int64)
+    rules = dict(
+        live=live,
+        changed=changed_mask,
+        node_touched=node_any_flags(flat, touched),
+        decreased_positions=np.sort(inverse[decreased[decreased < n_base]]),
+        num_threads=num_threads,
+    )
+    _repair_base_pairs(support, **rules)
+    _buffer_winners(support, **rules)
 
+
+def _stale_winners(
+    support: DynamicSupport,
+    idx: np.ndarray,
+    wu: np.ndarray,
+    wv: np.ndarray,
+    ww: np.ndarray,
+    live: np.ndarray,
+    changed: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The winner rule shared by cached base and buffer×base pairs.
+
+    The cached winner ``(wu, wv)`` of the pair at each table position in
+    ``idx`` is *stale* when an endpoint died, or when an endpoint's core
+    distance changed and the refreshed value grew.  Every other candidate
+    of the pair was already ``>=`` the old value, so a winner whose value
+    did not grow stays minimal over every candidate whose core distance did
+    not shrink; candidates that shrank are the callers' to check.  Values of
+    changed, alive winners are refreshed in ``ww`` in place.  Returns the
+    stale mask over ``idx`` and the refreshed table positions.
+    """
+    u, v = wu[idx], wv[idx]
+    dead = ~live[u] | ~live[v]
+    chg = np.flatnonzero((changed[u] | changed[v]) & ~dead)
+    if chg.size == 0:
+        return dead, _EMPTY_I
+    refreshed = idx[chg]
+    values = support.metric.exact_edge_weights(
+        support.stable_points, wu[refreshed], wv[refreshed], support.stable_cd
+    )
+    grew = np.zeros(idx.size, dtype=bool)
+    grew[chg] = values > ww[refreshed]
+    ww[refreshed] = values
+    return dead | grew, refreshed
+
+
+def _repair_base_pairs(
+    support: DynamicSupport,
+    *,
+    live: np.ndarray,
+    changed: np.ndarray,
+    node_touched: np.ndarray,
+    decreased_positions: np.ndarray,
+    num_threads,
+) -> None:
+    """Repair the cached base WSPD pairs after one update.
+
+    Drops pairs with an all-dead side, re-tests (and re-splits,
+    alive-filtered) pairs holding touched points, and recomputes winners
+    only where the cached one is invalidated: by :func:`_stale_winners`, or
+    by the certified :func:`winner_beat_mask` bound admitting a *decreased*
+    point (at the sorted permutation ``decreased_positions``) undercutting
+    the refreshed value.  Only points whose core distance shrank can
+    undercut a stable winner — every candidate value is monotone in its
+    endpoints' core distances, so a pure-growth update (deletes only) skips
+    the beat test entirely.  Deaths only remove candidates and growth only
+    raises values, so one call handles a mixed update.  Both-leaf pairs are
+    singletons whose winner is fixed by membership; only their value is
+    refreshed.
+    """
+    flat = support.base_tree.flat
+    node_alive = support.node_alive
     pa, pb = support.pair_a, support.pair_b
-    wu, wv = support.pair_u, support.pair_v
-    ww = support.pair_w
+    wu, wv, ww = support.pair_u, support.pair_v, support.pair_w
     if pa.size == 0:
         return
-    touched = np.zeros(n_base, dtype=bool)
-    touched[died] = True
-    touched[changed] = True
     alive_pair = node_alive[pa] & node_alive[pb]
-    if touched.any():
-        node_touched = node_any_flags(flat, touched)
-        flagged = alive_pair & (node_touched[pa] | node_touched[pb])
-    else:
-        flagged = np.zeros(pa.size, dtype=bool)
+    flagged = alive_pair & (node_touched[pa] | node_touched[pb])
     if not flagged.any() and alive_pair.all():
         return
     both_leaf = flat.is_leaf(pa) & flat.is_leaf(pb)
-    keep_static = np.flatnonzero(alive_pair & (~flagged | both_leaf))
-    refresh = np.flatnonzero(flagged & both_leaf)
-    if refresh.size:
-        ww[refresh] = support.metric.exact_edge_weights(
-            support.stable_points, wu[refresh], wv[refresh],
-            support.stable_cd,
-        )
-
     test_idx = np.flatnonzero(flagged & ~both_leaf)
     if test_idx.size:
         still = hdbscan_well_separated_mask(flat, pa[test_idx], pb[test_idx])
-        ok_idx = test_idx[still]
-        new_a, new_b = _resplit(
-            flat, pa[test_idx[~still]], pb[test_idx[~still]],
-            node_alive, num_threads,
-        )
+        split = test_idx[~still]
+        new_a, new_b = _resplit(flat, pa[split], pb[split], node_alive, num_threads)
+        test_idx = test_idx[still]
     else:
-        ok_idx = _EMPTY_I
         new_a, new_b = _EMPTY_I.copy(), _EMPTY_I.copy()
-
-    changed_mask = np.zeros(n_base, dtype=bool)
-    changed_mask[changed] = True
-    dead_winner = ~alive[wu[ok_idx]] | ~alive[wv[ok_idx]]
-    cd_changed = (
-        changed_mask[wu[ok_idx]] | changed_mask[wv[ok_idx]]
-    ) & ~dead_winner
-    grew = np.zeros(ok_idx.size, dtype=bool)
-    chg = np.flatnonzero(cd_changed)
-    if chg.size:
-        chg_idx = ok_idx[chg]
-        v_new = support.metric.exact_edge_weights(
-            support.stable_points, wu[chg_idx], wv[chg_idx],
-            support.stable_cd,
-        )
-        grew[chg] = v_new > ww[chg_idx]
-        ww[chg_idx] = v_new
-    winner_invalid = dead_winner | grew
-    stable_idx = ok_idx[~winner_invalid]
-    beat = np.zeros(stable_idx.size, dtype=bool)
-    decreased_mask = np.zeros(n_base, dtype=bool)
-    decreased_mask[decreased] = True
-    beat_sources = np.flatnonzero(decreased_mask & alive)
-    if stable_idx.size and beat_sources.size:
-        inverse = np.empty(n_base, dtype=np.int64)
-        inverse[flat.perm] = np.arange(n_base, dtype=np.int64)
-        touched_positions = np.sort(inverse[beat_sources])
-        values = ww[stable_idx]
-        beat = winner_beat_mask(
-            flat, pa[stable_idx], pb[stable_idx], touched_positions,
+    checked = np.concatenate([np.flatnonzero(flagged & both_leaf), test_idx])
+    stale, refreshed = _stale_winners(support, checked, wu, wv, ww, live, changed)
+    stale &= ~both_leaf[checked]
+    stay = checked[~stale]
+    beat = np.zeros(stay.size, dtype=bool)
+    open_rows = np.flatnonzero(~both_leaf[stay])
+    if open_rows.size and decreased_positions.size:
+        open_idx = stay[open_rows]
+        values = ww[open_idx]
+        beat[open_rows] = winner_beat_mask(
+            flat, pa[open_idx], pb[open_idx], decreased_positions,
             support.stable_points, support.stable_cd, values,
         ) | winner_beat_mask(
-            flat, pb[stable_idx], pa[stable_idx], touched_positions,
+            flat, pb[open_idx], pa[open_idx], decreased_positions,
             support.stable_points, support.stable_cd, values,
         )
 
-    recompute_idx = np.concatenate([ok_idx[winner_invalid], stable_idx[beat]])
-    redo_a = np.concatenate([pa[recompute_idx], new_a])
-    redo_b = np.concatenate([pb[recompute_idx], new_b])
-    if redo_a.size:
-        redo_u, redo_v, redo_w = masked_pair_winners(
-            flat, redo_a, redo_b,
-            np.where(alive, support.stable_cd[:n_base], np.inf), num_threads,
-        )
-    else:
-        redo_u, redo_v = _EMPTY_I.copy(), _EMPTY_I.copy()
-        redo_w = _EMPTY_F.copy()
+    recompute = np.concatenate([checked[stale], stay[beat]])
+    redo_a = np.concatenate([pa[recompute], new_a])
+    redo_b = np.concatenate([pb[recompute], new_b])
+    n_base = support.n_base
+    redo_u, redo_v, redo_w = masked_pair_winners(
+        flat, redo_a, redo_b,
+        np.where(live[:n_base], support.stable_cd[:n_base], np.inf),
+        num_threads,
+    )
 
-    kept = np.concatenate([keep_static, stable_idx[~beat]])
+    kept = np.concatenate([np.flatnonzero(alive_pair & ~flagged), stay[~beat]])
     support.pair_a = np.concatenate([pa[kept], redo_a])
     support.pair_b = np.concatenate([pb[kept], redo_b])
     support.pair_u = np.concatenate([wu[kept], redo_u])
     support.pair_v = np.concatenate([wv[kept], redo_v])
     support.pair_w = np.concatenate([ww[kept], redo_w])
-
-    # Repair the cached ascending-by-weight permutation: kept pairs with
-    # untouched values stay in their old relative order, so only the
-    # refreshed/recomputed few need sorting and merging back in.
-    ws = support.pair_wsort
-    if ws is not None:
-        m_old = pa.shape[0]
-        dirty = np.zeros(m_old, dtype=bool)
-        dirty[refresh] = True
-        if chg.size:
-            dirty[ok_idx[chg]] = True
-        old_to_new = np.full(m_old, -1, dtype=np.int64)
-        old_to_new[kept] = np.arange(kept.size, dtype=np.int64)
-        clean = ws[(old_to_new[ws] >= 0) & ~dirty[ws]]
-        fresh = np.concatenate([
-            old_to_new[np.flatnonzero(dirty & (old_to_new >= 0))],
-            np.arange(
-                kept.size, kept.size + redo_a.size, dtype=np.int64
-            ),
-        ])
-        support.pair_wsort = _merge_by_value(
-            support.pair_w, old_to_new[clean], fresh
+    if support.pair_wsort is not None:
+        dirty = np.zeros(pa.size, dtype=bool)
+        dirty[refreshed] = True
+        support.pair_wsort = _repaired_order(
+            support.pair_wsort, kept, dirty, redo_a.size, support.pair_w
         )
 
 
 def _buffer_winners(
+    support: DynamicSupport,
+    *,
+    live: np.ndarray,
+    changed: np.ndarray,
+    node_touched: np.ndarray,
+    decreased_positions: np.ndarray,
+    num_threads,
+) -> None:
+    """Repair the cached buffer×base pairs after one update.
+
+    Each buffered point ``q`` owns the (q, base node) pairs its separation
+    descent (:func:`descend_singleton_pairs`) emitted, cached with the
+    winning base point and the pair's exact minimum.  One vectorized pass
+    applies the base pairs' rules to them:
+
+    * ``q`` died: its pairs are dropped.  ``q``'s own core distance
+      changed: its pairs are dropped and it descends again from the root,
+      as every new insert does;
+    * the node has no alive member left: the pair is dropped;
+    * the node holds a touched base point: the pair is re-tested with the
+      descent's own :func:`singleton_separated_mask`, and a failing
+      non-leaf pair descends again from that node;
+    * a pair that stays keeps its winner unless :func:`_stale_winners`
+      invalidates it (a singleton leaf only refreshes its value).  A base
+      member ``b`` whose core distance *decreased* offers one new candidate
+      ``(q, b)``; its exact :meth:`Metric.exact_edge_weights` row replaces
+      the cached winner when smaller, with no kernel call — winner identity
+      is free under :func:`repro.mst.canonical_mst_arrays`.
+
+    Only the pairs of these descents reach :func:`masked_pair_winners`,
+    so the buffer's share of an update follows the update's size, not the
+    buffer's.  The ascending order ``bpair_wsort`` is carried along.
+    """
+    flat = support.base_tree.flat
+    node_alive = support.node_alive
+    points, cds = support.stable_points, support.stable_cd
+    q, nodes = support.bpair_q, support.bpair_node
+    wv, ww = support.bpair_v, support.bpair_w
+    alive_pair = live[q] & ~changed[q] & node_alive[nodes]
+    flagged = alive_pair & node_touched[nodes]
+    leaf = flat.is_leaf(nodes)
+    test_idx = np.flatnonzero(flagged & ~leaf)
+    still = singleton_separated_mask(
+        flat,
+        np.ascontiguousarray(
+            points[q[test_idx]], dtype=flat.backend.scoring_dtype
+        ),
+        cds[q[test_idx]],
+        nodes[test_idx],
+    )
+    split = test_idx[~still]
+    checked = np.concatenate([np.flatnonzero(flagged & leaf), test_idx[still]])
+    stale, refreshed = _stale_winners(support, checked, q, wv, ww, live, changed)
+    stale &= ~leaf[checked]
+    stay = checked[~stale]
+
+    open_idx = stay[~leaf[stay]]
+    row_of, members = node_member_rows(
+        flat, nodes[open_idx], decreased_positions
+    )
+    pos = open_idx[row_of]
+    values = support.metric.exact_edge_weights(points, q[pos], members, cds)
+    below = np.flatnonzero(values < ww[pos])
+    # The smallest undercutting row of each pair becomes its winner.
+    below = below[np.argsort(values[below], kind="stable")]
+    _, first = np.unique(pos[below], return_index=True)
+    best = below[first]
+    lowered = pos[best]
+    ww[lowered] = values[best]
+    wv[lowered] = members[best]
+
+    # Fresh pairs come from one descent: new and re-cored buffer points
+    # start at the root, failed pairs and stale winners at their node (a
+    # stale pair is still separated, so it comes back as itself).  Each
+    # root yields its own pairs, so blocks of roots yield the same pairs in
+    # another order (which the canonical MST normal form erases) and keep
+    # the transient pair arrays small.
+    masked_cd = cds.copy()
+    masked_cd[: support.n_base][~support.base_alive] = np.inf
+    redo = np.concatenate([split, checked[stale]])
+    buffer = support.buffer
+    starts = np.concatenate([buffer[changed[buffer]], q[redo]])
+    roots = np.concatenate([
+        np.zeros(starts.size - redo.size, dtype=np.int64), nodes[redo]
+    ])
+    fresh_q, fresh_node, fresh_v, fresh_w = [], [], [], []
+    for lo in range(0, starts.size, _BUFFER_BLOCK):
+        block = starts[lo: lo + _BUFFER_BLOCK]
+        q_idx, node_ids = descend_singleton_pairs(
+            flat, points[block], cds[block], node_alive,
+            roots=roots[lo: lo + _BUFFER_BLOCK],
+        )
+        _, win_v, win_w = masked_pair_winners(
+            flat, block[q_idx], node_ids, masked_cd, num_threads, points
+        )
+        fresh_q.append(block[q_idx])
+        fresh_node.append(node_ids)
+        fresh_v.append(win_v)
+        fresh_w.append(win_w)
+
+    kept = np.concatenate([np.flatnonzero(alive_pair & ~flagged), stay])
+    support.bpair_q = np.concatenate([q[kept]] + fresh_q)
+    support.bpair_node = np.concatenate([nodes[kept]] + fresh_node)
+    support.bpair_v = np.concatenate([wv[kept]] + fresh_v)
+    support.bpair_w = np.concatenate([ww[kept]] + fresh_w)
+    dirty = np.zeros(q.size, dtype=bool)
+    dirty[refreshed] = True
+    dirty[lowered] = True
+    support.bpair_wsort = _repaired_order(
+        support.bpair_wsort, kept, dirty,
+        support.bpair_q.size - kept.size, support.bpair_w,
+    )
+
+
+def _buffer_buffer_winners(
     support: DynamicSupport, num_threads
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate winners covering buffer×base and buffer×buffer pairs."""
+    """Winners of the buffer's own WSPD, built afresh every update.
+
+    A leaf-size-1 kd-tree over the buffered points, its HDBSCAN* WSPD and
+    one kernel call: the buffer stays below ``n / 8`` points, so this costs
+    little next to the cached tables.
+    """
     buffer = support.buffer
-    if buffer.size == 0:
+    if buffer.size < 2:
         return _EMPTY_I, _EMPTY_I, _EMPTY_F
     points = np.ascontiguousarray(support.stable_points[buffer])
     cds = np.ascontiguousarray(support.stable_cd[buffer])
-    out_u = []
-    out_v = []
-    out_w = []
-    if support.base_tree is not None and support.node_alive is not None:
-        flat = support.base_tree.flat
-        masked_cd = support.stable_cd.copy()
-        masked_cd[: support.n_base][~support.base_alive] = np.inf
-        # Every buffer point descends on its own, so blocks of them yield the
-        # same pairs (in another order, which the canonical MST normal form
-        # erases); blocking keeps the pair arrays, which grow with the
-        # buffer, from setting the update's peak memory.
-        for lo in range(0, buffer.size, _BUFFER_BLOCK):
-            block = slice(lo, lo + _BUFFER_BLOCK)
-            q_idx, node_ids = descend_singleton_pairs(
-                flat, points[block], cds[block], support.node_alive
-            )
-            win_u, win_v, win_w = masked_pair_winners(
-                flat, buffer[block][q_idx], node_ids, masked_cd, num_threads,
-                support.stable_points,
-            )
-            out_u.append(win_u)
-            out_v.append(win_v)
-            out_w.append(win_w)
-    if buffer.size >= 2:
-        side = KDTree(
-            points, leaf_size=1, metric=support.metric, backend=support.backend
-        )
-        side.annotate_core_distances(cds)
-        pair_a, pair_b = compute_wspd_ids(
-            side, separation="hdbscan", num_threads=num_threads
-        )
-        if pair_a.size:
-            win_u, win_v, win_w = masked_pair_winners(
-                side.flat, pair_a, pair_b, cds, num_threads
-            )
-            out_u.append(buffer[win_u])
-            out_v.append(buffer[win_v])
-            out_w.append(win_w)
-    if not out_u:
+    side = KDTree(
+        points, leaf_size=1, metric=support.metric, backend=support.backend
+    )
+    side.annotate_core_distances(cds)
+    pair_a, pair_b = compute_wspd_ids(
+        side, separation="hdbscan", num_threads=num_threads
+    )
+    if pair_a.size == 0:
         return _EMPTY_I, _EMPTY_I, _EMPTY_F
-    return np.concatenate(out_u), np.concatenate(out_v), np.concatenate(out_w)
+    win_u, win_v, win_w = masked_pair_winners(
+        side.flat, pair_a, pair_b, cds, num_threads
+    )
+    return buffer[win_u], buffer[win_v], win_w

@@ -20,9 +20,12 @@ repair:
   so cached and recomputed values share one bitwise contract;
 * the winner *beat* test — a certified lower bound deciding whether a
   core-distance change anywhere in a pair could undercut its cached winner;
-* the singleton descent pairing each buffered point against the base tree
-  under the HDBSCAN* separation predicate (conservatively, using the stale
-  boxes, which only ever splits deeper — coverage is preserved).
+* the (point, node) separation test and the singleton descent pairing
+  each buffered point against the base tree (or a subtree, when a cached
+  pair lost its separation) under the HDBSCAN* separation predicate
+  (conservatively, using the stale boxes, which only ever splits deeper —
+  coverage is preserved), and the member rows that enumerate a node's
+  touched points.
 
 Winner *identity* is free everywhere: the assembled candidate edges are
 canonicalized by :func:`repro.mst.canonical_mst_arrays`, which depends only
@@ -204,6 +207,26 @@ def masked_pair_winners(
     return win_u, win_v, win_w
 
 
+def node_member_rows(
+    flat: FlatKDTree, nodes: np.ndarray, positions: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (i, point) with the point a member of ``nodes[i]``, among the
+    points at the sorted permutation ``positions``.
+
+    Node members are contiguous in the permutation, so each node's share of
+    ``positions`` is one ``searchsorted`` window.  Returns parallel
+    ``(row_of, point_index)`` arrays, grouped by row.
+    """
+    if nodes.size == 0 or positions.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lo = np.searchsorted(positions, flat.node_start[nodes], side="left")
+    hi = np.searchsorted(positions, flat.node_end[nodes], side="left")
+    counts = (hi - lo).astype(np.int64)
+    rows = _segment_ranges(lo.astype(np.int64), counts)
+    row_of = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)
+    return row_of, flat.perm[positions[rows]]
+
+
 def winner_beat_mask(
     flat: FlatKDTree,
     nodes: np.ndarray,
@@ -225,16 +248,9 @@ def winner_beat_mask(
     extrema.  The test is one-sided — call it for both orientations.
     """
     out = np.zeros(nodes.shape[0], dtype=bool)
-    if nodes.size == 0 or touched_positions.size == 0:
+    pair_of, q = node_member_rows(flat, nodes, touched_positions)
+    if q.size == 0:
         return out
-    lo = np.searchsorted(touched_positions, flat.node_start[nodes], side="left")
-    hi = np.searchsorted(touched_positions, flat.node_end[nodes], side="left")
-    counts = (hi - lo).astype(np.int64)
-    if int(counts.sum()) == 0:
-        return out
-    rows = _segment_ranges(lo.astype(np.int64), counts)
-    pair_of = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)
-    q = flat.perm[touched_positions[rows]]
     queries = np.ascontiguousarray(points[q], dtype=flat.backend.scoring_dtype)
     gaps = np.asarray(
         flat.min_distances_to_points(queries, other_nodes[pair_of]),
@@ -249,24 +265,48 @@ def winner_beat_mask(
     return out
 
 
+def singleton_separated_mask(
+    flat: FlatKDTree,
+    queries: np.ndarray,
+    query_cds: np.ndarray,
+    nodes: np.ndarray,
+) -> np.ndarray:
+    """Conservative HDBSCAN* separation of (query point, node) pairs.
+
+    ``queries`` are the pairs' points in the backend's scoring dtype and
+    ``query_cds`` their core distances.  The query is a zero-radius node;
+    the test uses the *stale* node boxes with the *live* core-distance
+    annotations (``flat.cd_min`` / ``flat.cd_max`` must hold the alive
+    extrema): the box gap under-estimates the true minimum distance and
+    ``2 * node_radius`` over-estimates the live diameter, so a pair declared
+    separated is truly HDBSCAN*-well-separated with respect to the alive
+    members.
+    """
+    gaps = np.asarray(
+        flat.min_distances_to_points(queries, nodes), dtype=np.float64
+    )
+    diameter = 2.0 * np.asarray(flat.node_radius[nodes], dtype=np.float64)
+    node_lo = np.asarray(flat.cd_min[nodes], dtype=np.float64)
+    node_hi = np.asarray(flat.cd_max[nodes], dtype=np.float64)
+    reach_lo = np.maximum(gaps, np.maximum(query_cds, node_lo))
+    reach_hi = np.maximum(diameter, np.maximum(query_cds, node_hi))
+    return (gaps >= diameter) | (reach_lo >= reach_hi)
+
+
 def descend_singleton_pairs(
     flat: FlatKDTree,
     queries: np.ndarray,
     query_cds: np.ndarray,
     node_alive: np.ndarray,
+    roots: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """HDBSCAN*-separated decomposition of (buffer point × base tree).
+    """HDBSCAN*-separated decomposition of (buffer point × base subtree).
 
-    Each query descends from the root; a (point, node) pair is emitted when
-    it passes the conservative separation test or the node is a leaf, and is
-    split otherwise.  The test treats the query as a zero-radius node and
-    uses the *stale* node boxes with the *live* core-distance annotations
-    (``flat.cd_min`` / ``flat.cd_max`` must hold the alive extrema): the box
-    gap under-estimates the true minimum distance and ``2 * node_radius``
-    over-estimates the live diameter, so a pair declared separated is truly
-    HDBSCAN*-well-separated with respect to the alive members — errors only
-    ever split deeper, never lose coverage.  Subtrees with no alive member
-    are dropped.  Returns parallel ``(query_index, node_id)`` arrays.
+    Each query descends from its root node ``roots[i]``; a (point, node)
+    pair is emitted when it passes :func:`singleton_separated_mask` or the
+    node is a leaf, and is split otherwise.  The test's errors only ever
+    split deeper, never lose coverage.  Subtrees with no alive member are
+    dropped.  Returns parallel ``(query_index, node_id)`` arrays.
     """
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     if queries.shape[0] == 0 or flat.size == 0:
@@ -274,7 +314,7 @@ def descend_singleton_pairs(
     scoring = np.ascontiguousarray(queries, dtype=flat.backend.scoring_dtype)
     cds = np.asarray(query_cds, dtype=np.float64)
     cur_q = np.arange(queries.shape[0], dtype=np.int64)
-    cur_n = np.zeros(queries.shape[0], dtype=np.int64)
+    cur_n = np.asarray(roots, dtype=np.int64)
     out_q = []
     out_n = []
     while cur_q.size:
@@ -283,17 +323,9 @@ def descend_singleton_pairs(
         cur_n = cur_n[keep]
         if cur_q.size == 0:
             break
-        gaps = np.asarray(
-            flat.min_distances_to_points(scoring[cur_q], cur_n), dtype=np.float64
-        )
-        diameter = 2.0 * np.asarray(flat.node_radius[cur_n], dtype=np.float64)
-        node_lo = np.asarray(flat.cd_min[cur_n], dtype=np.float64)
-        node_hi = np.asarray(flat.cd_max[cur_n], dtype=np.float64)
-        geometric = gaps >= diameter
-        reach_lo = np.maximum(gaps, np.maximum(cds[cur_q], node_lo))
-        reach_hi = np.maximum(diameter, np.maximum(cds[cur_q], node_hi))
-        separated = geometric | (reach_lo >= reach_hi)
-        emit = separated | (flat.left_child[cur_n] < 0)
+        emit = singleton_separated_mask(
+            flat, scoring[cur_q], cds[cur_q], cur_n
+        ) | (flat.left_child[cur_n] < 0)
         out_q.append(cur_q[emit])
         out_n.append(cur_n[emit])
         rest_q = cur_q[~emit]

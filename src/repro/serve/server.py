@@ -30,10 +30,15 @@ with an ``op`` field:
     Model card / request counters and cache statistics.
 
 Every response carries ``"ok"``; failures come back as
-``{"ok": false, "error": ...}`` instead of taking the server down.  Batches
-dispatch onto the persistent :mod:`repro.parallel.pool` worker pool —
-read handlers only read the shared state (cut-cache inserts are
-lock-guarded), so one FitState serves concurrent requests without copies;
+``{"ok": false, "kind": ..., "error": ...}`` instead of taking the server
+down.  ``"kind": "bad_request"`` marks a request the engine rejects (an
+unknown op, a missing or ill-typed field, invalid parameters or points);
+``"kind": "internal"`` marks an engine fault, whose traceback goes to
+stderr and which is counted in ``requests_internal`` as well as in
+``requests_failed``.  Batches dispatch onto the persistent
+:mod:`repro.parallel.pool` worker pool — read handlers only read the shared
+state (cut-cache inserts are lock-guarded), so one FitState serves
+concurrent requests without copies;
 ``update`` ops serialize behind a per-engine lock so concurrent updates in
 one batch compose instead of overwriting each other.
 """
@@ -41,12 +46,14 @@ one batch compose instead of overwriting each other.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import traceback
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.errors import ReproError
+from repro.core.errors import InvalidParameterError, InvalidPointSetError
 from repro.parallel.pool import parallel_map
 from repro.serve.predict import approximate_predict
 from repro.serve.state import FitState
@@ -62,6 +69,7 @@ class ServingEngine:
         self.num_threads = num_threads
         self.requests_served = 0
         self.requests_failed = 0
+        self.requests_internal = 0
         # handle_batch runs handlers concurrently and ``+= 1`` is a
         # read-modify-write, so the counters are bumped under a lock.
         self._counter_lock = threading.Lock()
@@ -74,26 +82,25 @@ class ServingEngine:
     # -- request handling ----------------------------------------------------
 
     def handle(self, request: Dict) -> Dict:
-        """Answer one request dict; never raises on bad requests."""
+        """Answer one request dict; never raises."""
         try:
             response = self._dispatch(request)
             response["ok"] = True
-        except (
-            ReproError,
-            AttributeError,
-            KeyError,
-            TypeError,
-            ValueError,
-        ) as error:
+        except (InvalidParameterError, InvalidPointSetError) as error:
             self._count(failed=True)
-            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
+            return _failure("bad_request", error)
+        except Exception as error:
+            traceback.print_exc(file=sys.stderr)
+            self._count(failed=True, internal=True)
+            return _failure("internal", error)
         self._count(failed=False)
         return response
 
-    def _count(self, *, failed: bool) -> None:
+    def _count(self, *, failed: bool, internal: bool = False) -> None:
         with self._counter_lock:
             if failed:
                 self.requests_failed += 1
+                self.requests_internal += internal
             else:
                 self.requests_served += 1
 
@@ -112,7 +119,7 @@ class ServingEngine:
 
     def _dispatch(self, request: Dict) -> Dict:
         if not isinstance(request, dict):
-            raise TypeError("request must be a JSON object")
+            raise InvalidParameterError("request must be a JSON object")
         op = request.get("op", "recut")
         if op in ("recut", "labels"):
             cut, cached = self.state.recut_with_info(
@@ -133,7 +140,7 @@ class ServingEngine:
                 "probabilities": cut.probabilities.tolist(),
             }
         if op == "predict":
-            points = np.asarray(request["points"], dtype=np.float64)
+            points = _array(request, "points", np.float64)
             labels, probabilities = approximate_predict(self.state, points)
             return {
                 "op": op,
@@ -161,9 +168,10 @@ class ServingEngine:
                 "op": op,
                 "requests_served": self.requests_served,
                 "requests_failed": self.requests_failed,
+                "requests_internal": self.requests_internal,
                 "cut_cache": self.state.cache_info(),
             }
-        raise ValueError(
+        raise InvalidParameterError(
             f"unknown op {op!r}; expected recut, labels, predict, update, "
             f"info or stats"
         )
@@ -176,13 +184,15 @@ class ServingEngine:
         delete = request.get("delete")
         insert = request.get("insert")
         if delete is None and insert is None:
-            raise ValueError("update requires at least one of insert, delete")
+            raise InvalidParameterError(
+                "update requires at least one of insert, delete"
+            )
         # No dtype coercion: update_batch rejects non-integer indices, and
         # casting here would silently truncate 0.9 -> 0.
-        indices = np.asarray([] if delete is None else delete)
+        indices = np.asarray([]) if delete is None else _array(request, "delete")
         batch = None
         if insert is not None:
-            batch = np.asarray(insert, dtype=np.float64)
+            batch = _array(request, "insert", np.float64)
             if batch.ndim == 1:
                 batch = batch.reshape(1, -1)
             if batch.size == 0:
@@ -219,7 +229,11 @@ class ServingEngine:
             try:
                 request = json.loads(line)
             except json.JSONDecodeError as error:
-                response = {"ok": False, "error": f"invalid JSON: {error}"}
+                response = {
+                    "ok": False,
+                    "kind": "bad_request",
+                    "error": f"invalid JSON: {error}",
+                }
                 self._count(failed=True)
             else:
                 response = self.handle(request)
@@ -229,6 +243,25 @@ class ServingEngine:
         return answered
 
 
+def _failure(kind: str, error: Exception) -> Dict:
+    return {"ok": False, "kind": kind, "error": f"{type(error).__name__}: {error}"}
+
+
 def _maybe(request: Dict, key: str, convert):
     value = request.get(key)
-    return None if value is None else convert(value)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as error:
+        raise InvalidParameterError(f"field {key!r}: {error}") from error
+
+
+def _array(request: Dict, key: str, dtype=None) -> np.ndarray:
+    """The request's ``key`` field as an array."""
+    if key not in request:
+        raise InvalidParameterError(f"missing field {key!r}")
+    try:
+        return np.asarray(request[key], dtype=dtype)
+    except (TypeError, ValueError) as error:
+        raise InvalidParameterError(f"field {key!r}: {error}") from error

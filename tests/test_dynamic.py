@@ -325,6 +325,131 @@ class TestChurnRegressions:
         )
 
 
+class TestBufferedPairCache:
+    """Buffer×base pair winners are cached across updates and repaired."""
+
+    @staticmethod
+    def buffer_queries(queried):
+        """Patch the pair kernel to record the buffered points it resolves."""
+        winners = dynamic_engine.masked_pair_winners
+
+        def recording(flat, pair_a, pair_b, cds, num_threads, points=None):
+            if points is not None:
+                queried.append(np.asarray(pair_a).copy())
+            return winners(flat, pair_a, pair_b, cds, num_threads, points)
+
+        return mock.patch.object(dynamic_engine, "masked_pair_winners", recording)
+
+    def test_old_buffered_points_are_not_resolved_again(self):
+        points = np.random.default_rng(8).random((2000, 3))
+        corner = np.random.default_rng(9).random((40, 3)) * 0.1
+        opposite = 1.0 - np.random.default_rng(10).random((20, 3)) * 0.1
+        state = insert_batch(fit_dynamic(points, min_pts=MIN_PTS), corner)
+        support = getattr(state, SUPPORT_ATTR)
+        assert support.buffer.size == 40 and support.bpair_q.size > 0
+        first_new = support.stable_points.shape[0]
+        queried = []
+        with self.buffer_queries(queried):
+            state = insert_batch(state, opposite)
+        queried = np.concatenate(queried)
+        assert queried.size > 0
+        # Only the new points' pairs reach the kernel: none of the corner
+        # cluster's cached pairs is resolved again.
+        assert queried.min() >= first_new
+        assert getattr(state, SUPPORT_ATTR).buffer.size == 60
+        assert_states_identical(
+            state,
+            fit_dynamic(np.concatenate([points, corner, opposite]), min_pts=MIN_PTS),
+        )
+
+    def test_decreased_member_lowers_a_cached_winner_exactly(self):
+        # q's pair holds the two-point node {b, b2}; q's own core distance
+        # is small and b's is large, so the pair's minimum is b's core
+        # distance.  Four duplicates of b drop that to 0: the pair's new
+        # minimum is the distance d(q, b) = 1, one exact row, no kernel call.
+        background = np.random.default_rng(0).random((300, 2)) * 10 + [20.0, 0.0]
+        b = np.array([[0.0, 0.0], [0.0, 0.001]])
+        base = np.concatenate([background, b])
+        group = np.array([[1.0, 0.0], [1.01, 0.0], [1.01, 0.003],
+                          [1.012, -0.004], [1.015, 0.002]])
+        state = insert_batch(fit_dynamic(base, min_pts=MIN_PTS), group)
+        support = getattr(state, SUPPORT_ATTR)
+        q = base.shape[0]
+        near = (support.bpair_q == q) & ~np.isin(support.bpair_v, np.arange(300))
+        assert np.count_nonzero(near) == 1
+        node = support.bpair_node[near][0]
+        assert support.bpair_w[near][0] > 1.0
+        queried = []
+        duplicates = np.repeat(b[:1], 4, axis=0)
+        with self.buffer_queries(queried):
+            state = insert_batch(state, duplicates)
+        assert np.concatenate(queried).min() >= q + group.shape[0]
+        support = getattr(state, SUPPORT_ATTR)
+        lowered = (support.bpair_q == q) & (support.bpair_node == node)
+        assert support.bpair_w[lowered].tolist() == [1.0]
+        assert support.bpair_v[lowered].tolist() == [base.shape[0] - 2]
+        assert_states_identical(
+            state,
+            fit_dynamic(np.concatenate([base, group, duplicates]), min_pts=MIN_PTS),
+        )
+
+    @staticmethod
+    def _lattice_with_duplicates(rng):
+        lattice = np.stack(
+            np.meshgrid(np.arange(20.0), np.arange(25.0)), -1
+        ).reshape(-1, 2)
+        duplicates = lattice[rng.choice(lattice.shape[0], 100)]
+        return np.concatenate([lattice, duplicates])[rng.permutation(600)]
+
+    @pytest.mark.parametrize("threads", DYNAMIC_THREAD_COUNTS)
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_long_buffered_sequence_matches_cold_fit(self, dim, threads):
+        rng = np.random.default_rng(dim)
+        if dim == 2:
+            live = self._lattice_with_duplicates(rng)
+        else:
+            live = np.round(rng.standard_normal((600, dim)), 1)
+        params = {"min_pts": MIN_PTS, "num_threads": threads}
+        state = fit_dynamic(live, **params)
+        changed_buffered = []
+        repair = dynamic_engine._repair_pairs
+
+        def recording(support, *, died, changed, decreased, num_threads):
+            # Buffered points with cached pairs whose core distance changed.
+            changed_buffered.append(int(np.isin(changed, support.bpair_q).sum()))
+            return repair(
+                support, died=died, changed=changed, decreased=decreased,
+                num_threads=num_threads,
+            )
+
+        deleted_buffered = 0
+        with mock.patch.object(dynamic_engine, "_repair_pairs", recording):
+            for round_no in range(25):
+                n = live.shape[0]
+                buffered = getattr(state, SUPPORT_ATTR, None)
+                tail = 0 if buffered is None else buffered.buffer.size
+                # One delete among the buffered rows (the tail) when there
+                # are any, two anywhere.
+                removed = set(rng.choice(n, size=2, replace=False).tolist())
+                if tail:
+                    removed.add(int(n - 1 - rng.integers(0, tail)))
+                removed = np.array(sorted(removed))
+                deleted_buffered += int((removed >= n - tail).sum())
+                # Inserts land on live points (the buffered tail first),
+                # inside their core radii: exact duplicates and near copies.
+                anchors = live[n - 1 - rng.integers(0, max(tail, 1), size=3)]
+                batch = anchors + np.array([[0.0], [1e-3], [0.0]])
+                state = update_batch(state, removed, batch, num_threads=threads)
+                live = np.concatenate([np.delete(live, removed, axis=0), batch])
+                assert SUPPORT_ATTR in vars(state), f"merged in round {round_no}"
+                assert_states_identical(
+                    state, fit_dynamic(live, **params),
+                    f"dim={dim} threads={threads} round {round_no}",
+                )
+        assert deleted_buffered > 0
+        assert sum(changed_buffered) > 0
+
+
 class TestOnePassUpdate:
     """``update_batch`` equals delete+insert and a cold refit on every axis."""
 

@@ -303,7 +303,35 @@ class TestServingEngine:
         ):
             response = engine.handle(request)
             assert response["ok"] is False and "error" in response
+            assert response["kind"] == "bad_request", response
         assert engine.requests_failed == 4
+        assert engine.requests_internal == 0
+
+    def test_engine_faults_are_internal_errors(self, state, capsys):
+        engine = ServingEngine(state)
+        with mock.patch.object(
+            type(state), "recut_with_info",
+            side_effect=AttributeError("broken cut cache"),
+        ):
+            response = engine.handle({"op": "recut", "epsilon": 0.1})
+        assert response["ok"] is False and response["kind"] == "internal"
+        assert "broken cut cache" in response["error"]
+        assert "Traceback" in capsys.readouterr().err
+        assert (engine.requests_failed, engine.requests_internal) == (1, 1)
+        stats = engine.handle({"op": "stats"})
+        assert stats["requests_internal"] == 1
+
+    def test_ill_typed_fields_are_bad_requests(self, state):
+        engine = ServingEngine(state)
+        for request in (
+            [],
+            {"op": "recut", "epsilon": "wide"},
+            {"op": "predict", "points": [[1.0, "x"]]},
+            {"op": "update", "delete": [[0], [1, 2]]},
+        ):
+            response = engine.handle(request)
+            assert response["kind"] == "bad_request", (request, response)
+        assert engine.requests_internal == 0
 
     def test_batch_keeps_request_order(self, state):
         engine = ServingEngine(state)
