@@ -5,12 +5,12 @@ all-points core distances and the BCCPs of the full well-separated pair
 decomposition.  Under a small batched update almost all of that work is
 provably unchanged: a core distance can only move when the update lands
 inside the point's current core radius, and a WSPD pair's minimum
-mutual-reachability edge can only move when a member dies, a member's core
-distance changes, or a certified lower bound says a changed point could
-undercut the cached winner.  :func:`update_batch` exploits exactly that,
-folding a batch of deletes and a batch of inserts into **one** repair pass
-and one state rebuild (:func:`insert_batch` / :func:`delete_batch` are its
-one-sided forms):
+mutual-reachability edge can only move when a member dies or a member's
+core distance changes — and a member whose core distance shrank can only
+lower it through that member's own candidates.  :func:`update_batch`
+exploits exactly that, folding a batch of deletes and a batch of inserts
+into **one** repair pass and one state rebuild (:func:`insert_batch` /
+:func:`delete_batch` are its one-sided forms):
 
 * the *base* tree (a leaf-size-1 kd-tree over the points present when the
   support was built) is tombstoned, never restructured: deletions flip an
@@ -20,17 +20,23 @@ one-sided forms):
 * inserted points go to a side *buffer*.  Each buffered point is paired
   against the base tree once, by a separation descent, and its (point,
   base node) pairs are cached beside the base pairs with their winners and
-  exact values.  The same update pass repairs both tables under the same
-  rules: pairs of a dead or re-cored buffered point are dropped (a
-  re-cored point descends again, like a new insert), pairs whose node lost
-  every alive member are dropped, pairs whose node holds a touched base
-  point are re-tested and re-split, and a winner is resolved again only
-  when it died or its value grew; a base member whose core distance
-  shrank is checked with one exact row against the buffered point.  So
-  an update resolves only its own inserts' pairs and the few winners it
-  invalidated, not the whole buffer.  Buffered points pair with each
-  other through a tiny WSPD of their own, rebuilt every update.  A
-  log-scheduled full rebuild folds the buffer in (or drops the
+  exact values;
+* the same update pass repairs both tables under the same rules.  Pairs
+  whose node lost every alive member are dropped, pairs whose node holds a
+  touched base point are re-tested and re-split, and a winner is resolved
+  again at full pair size only when it died or its value grew.  A member
+  whose core distance *shrank* is handled by its own rows: in a base pair
+  every such member that a certified bound admits as a possible undercut
+  is resolved as one (member, other node) point×node pair, and in a
+  buffer pair a shrunk base member is one exact row against the buffered
+  point; the pair keeps the smaller of its refreshed winner and those
+  rows.  A buffered point whose own core distance shrank is dropped and
+  descends again, like a new insert; one whose core distance grew keeps
+  its pairs and refreshes their values.  So an update resolves its own
+  inserts' pairs, the rows of the points it touched and the few winners
+  it invalidated, not whole pairs or the whole buffer.  Buffered points
+  pair with each other through a tiny WSPD of their own, rebuilt every
+  update.  A log-scheduled full rebuild folds the buffer in (or drops the
   tombstones), clearing the cached buffer pairs with it, before either
   side grows past a fixed fraction of n;
 * every pair winner, base or buffer, comes from the cold fit's BCCP
@@ -498,7 +504,7 @@ def update_batch(
     the result.
     """
     idx = _coerce_indices(delete, state.num_points)
-    if insert is None:
+    if insert is None or (np.ndim(insert) == 1 and np.size(insert) == 0):
         insert = np.empty((0, state.dimension))
     batch = _coerce_points(insert, dimension=state.dimension)
     _require_exact_backend(state.backend)
@@ -623,7 +629,9 @@ def _update(
     support.stable_points = np.ascontiguousarray(
         np.concatenate([support.stable_points, batch])
     )
-    support.stable_cd = np.concatenate([support.stable_cd, np.zeros(m)])
+    # A point not present before had no candidates: its core distance
+    # starts at +inf, so every insert counts as changed and shrunk.
+    support.stable_cd = np.concatenate([support.stable_cd, np.full(m, np.inf)])
 
     data = np.ascontiguousarray(support.stable_points[support.order])
     serving = KDTree(
@@ -637,7 +645,6 @@ def _update(
     previous = support.stable_cd[touched]
     support.stable_cd[touched] = kth
     changed = kth != previous
-    changed[changed_rows.size:] = True  # new points are always "changed"
     serving.annotate_core_distances(support.stable_cd[support.order])
 
     _repair_pairs(
@@ -693,16 +700,18 @@ def _repair_pairs(
     """Repair every cached pair winner after one update, in one pass.
 
     ``died`` holds the stable ids the update deleted, ``changed`` the alive
-    ones whose core distance changed (every insert among them) and
-    ``decreased`` those whose core distance shrank.  The base tree's live
+    ones whose core distance changed and ``decreased`` those whose core
+    distance shrank (every insert is in both: it starts at ``+inf``).  The
+    base tree's live
     annotations are refreshed once; then the base WSPD pairs
     (:func:`_repair_base_pairs`) and the buffer×base pairs
     (:func:`_buffer_winners`) are repaired under the same rules: a pair
     with a side that has no alive member is dropped; a pair whose node
     holds a *touched* base point (dead, or its core distance changed) is
-    re-tested for separation and re-split if it fails; and a cached winner
-    is resolved again only when :func:`_stale_winners` or a decreased
-    member invalidates it.
+    re-tested for separation and re-split if it fails; a cached winner is
+    resolved again only when :func:`_stale_winners` invalidates it; and a
+    decreased member can only lower a winner through its own rows against
+    the pair's other side.
     """
     tree = support.base_tree
     if tree is None:
@@ -732,8 +741,10 @@ def _repair_pairs(
         decreased_positions=np.sort(inverse[decreased[decreased < n_base]]),
         num_threads=num_threads,
     )
+    shrunk = np.zeros(size, dtype=bool)
+    shrunk[decreased] = True
     _repair_base_pairs(support, **rules)
-    _buffer_winners(support, **rules)
+    _buffer_winners(support, shrunk=shrunk, **rules)
 
 
 def _stale_winners(
@@ -744,17 +755,20 @@ def _stale_winners(
     ww: np.ndarray,
     live: np.ndarray,
     changed: np.ndarray,
+    floor: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The winner rule shared by cached base and buffer×base pairs.
 
     The cached winner ``(wu, wv)`` of the pair at each table position in
     ``idx`` is *stale* when an endpoint died, or when an endpoint's core
-    distance changed and the refreshed value grew.  Every other candidate
-    of the pair was already ``>=`` the old value, so a winner whose value
-    did not grow stays minimal over every candidate whose core distance did
-    not shrink; candidates that shrank are the callers' to check.  Values of
-    changed, alive winners are refreshed in ``ww`` in place.  Returns the
-    stale mask over ``idx`` and the refreshed table positions.
+    distance changed and the refreshed value grew past
+    ``max(old value, floor)``.  Every other candidate of the pair was
+    already ``>=`` the old value, and ``floor`` (per ``idx``, when given)
+    must bound every candidate whose core distance did not shrink from
+    below, so a winner that stays within both stays minimal over those
+    candidates; candidates that shrank are the callers' to check.  Values
+    of changed, alive winners are refreshed in ``ww`` in place.  Returns
+    the stale mask over ``idx`` and the refreshed table positions.
     """
     u, v = wu[idx], wv[idx]
     dead = ~live[u] | ~live[v]
@@ -765,10 +779,41 @@ def _stale_winners(
     values = support.metric.exact_edge_weights(
         support.stable_points, wu[refreshed], wv[refreshed], support.stable_cd
     )
+    limit = ww[refreshed]
+    if floor is not None:
+        limit = np.maximum(limit, floor[chg])
     grew = np.zeros(idx.size, dtype=bool)
-    grew[chg] = values > ww[refreshed]
+    grew[chg] = values > limit
     ww[refreshed] = values
     return dead | grew, refreshed
+
+
+def _lower_winners(
+    pos: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    values: np.ndarray,
+    wu: np.ndarray,
+    wv: np.ndarray,
+    ww: np.ndarray,
+) -> np.ndarray:
+    """Let row candidates undercut cached winners, in place.
+
+    Row ``i`` offers the candidate ``(u[i], v[i])`` of exact value
+    ``values[i]`` to the pair at table position ``pos[i]``; each pair's
+    smallest candidate strictly below its cached value becomes its winner
+    (winner identity is free under :func:`repro.mst.canonical_mst_arrays`).
+    Returns the table positions whose winner changed.
+    """
+    below = np.flatnonzero(values < ww[pos])
+    below = below[np.argsort(values[below], kind="stable")]
+    _, first = np.unique(pos[below], return_index=True)
+    best = below[first]
+    lowered = pos[best]
+    wu[lowered] = u[best]
+    wv[lowered] = v[best]
+    ww[lowered] = values[best]
+    return lowered
 
 
 def _repair_base_pairs(
@@ -782,18 +827,21 @@ def _repair_base_pairs(
 ) -> None:
     """Repair the cached base WSPD pairs after one update.
 
-    Drops pairs with an all-dead side, re-tests (and re-splits,
-    alive-filtered) pairs holding touched points, and recomputes winners
-    only where the cached one is invalidated: by :func:`_stale_winners`, or
-    by the certified :func:`winner_beat_mask` bound admitting a *decreased*
-    point (at the sorted permutation ``decreased_positions``) undercutting
-    the refreshed value.  Only points whose core distance shrank can
-    undercut a stable winner — every candidate value is monotone in its
-    endpoints' core distances, so a pure-growth update (deletes only) skips
-    the beat test entirely.  Deaths only remove candidates and growth only
-    raises values, so one call handles a mixed update.  Both-leaf pairs are
-    singletons whose winner is fixed by membership; only their value is
-    refreshed.
+    Drops pairs with an all-dead side and re-tests (and re-splits,
+    alive-filtered) pairs holding touched points.  A pair that stays keeps
+    its winner unless :func:`_stale_winners` invalidates it; a stale pair
+    and a re-split one are resolved at full pair size.  Deaths only remove
+    candidates and growth only raises values, so the refreshed winner of a
+    pair that stays still bounds every candidate without a shrunk endpoint
+    from below.  The candidates *with* one are the rows of its members whose
+    core distance shrank (at the sorted permutation ``decreased_positions``):
+    each member ``q`` of one side that :func:`winner_beat_mask` admits as a
+    possible undercut is resolved as the (q, other node) point×node pair,
+    and the pair's new winner is the smallest of its refreshed winner and
+    those rows.  When a pair's rows would score at least its ``|A|·|B|``
+    candidates (every member shrank, say, when ``min(min_pts, n)`` moved),
+    the whole pair is resolved instead.  Both-leaf pairs are singletons
+    whose winner is fixed by membership; only their value is refreshed.
     """
     flat = support.base_tree.flat
     node_alive = support.node_alive
@@ -818,30 +866,57 @@ def _repair_base_pairs(
     stale, refreshed = _stale_winners(support, checked, wu, wv, ww, live, changed)
     stale &= ~both_leaf[checked]
     stay = checked[~stale]
-    beat = np.zeros(stay.size, dtype=bool)
-    open_rows = np.flatnonzero(~both_leaf[stay])
-    if open_rows.size and decreased_positions.size:
-        open_idx = stay[open_rows]
-        values = ww[open_idx]
-        beat[open_rows] = winner_beat_mask(
-            flat, pa[open_idx], pb[open_idx], decreased_positions,
-            support.stable_points, support.stable_cd, values,
-        ) | winner_beat_mask(
-            flat, pb[open_idx], pa[open_idx], decreased_positions,
-            support.stable_points, support.stable_cd, values,
-        )
 
-    recompute = np.concatenate([checked[stale], stay[beat]])
-    redo_a = np.concatenate([pa[recompute], new_a])
-    redo_b = np.concatenate([pb[recompute], new_b])
     n_base = support.n_base
-    redo_u, redo_v, redo_w = masked_pair_winners(
-        flat, redo_a, redo_b,
-        np.where(live[:n_base], support.stable_cd[:n_base], np.inf),
+    points = support.stable_points
+    masked_cd = np.where(live[:n_base], support.stable_cd[:n_base], np.inf)
+    open_idx = stay[~both_leaf[stay]]
+    oa, ob = pa[open_idx], pb[open_idx]
+    values = ww[open_idx]
+    row_a, q_a = winner_beat_mask(
+        flat, oa, ob, decreased_positions, points, support.stable_cd, values
+    )
+    row_b, q_b = winner_beat_mask(
+        flat, ob, oa, decreased_positions, points, support.stable_cd, values
+    )
+    size_a = (flat.node_end[oa] - flat.node_start[oa]).astype(np.int64)
+    size_b = (flat.node_end[ob] - flat.node_start[ob]).astype(np.int64)
+    row_cost = (
+        np.bincount(row_a, minlength=open_idx.size) * size_b
+        + np.bincount(row_b, minlength=open_idx.size) * size_a
+    )
+    whole = row_cost >= size_a * size_b
+    row_a, q_a = row_a[~whole[row_a]], q_a[~whole[row_a]]
+    row_b, q_b = row_b[~whole[row_b]], q_b[~whole[row_b]]
+    _, row_v, row_w = masked_pair_winners(
+        flat,
+        np.concatenate([q_a, q_b]),
+        np.concatenate([ob[row_a], oa[row_b]]),
+        masked_cd,
         num_threads,
+        points=points,
+    )
+    # Rows of A's members give (q, b) winners, rows of B's give (a, q).
+    cut = q_a.size
+    lowered = _lower_winners(
+        open_idx[np.concatenate([row_a, row_b])],
+        np.concatenate([q_a, row_v[cut:]]),
+        np.concatenate([row_v[:cut], q_b]),
+        row_w, wu, wv, ww,
     )
 
-    kept = np.concatenate([np.flatnonzero(alive_pair & ~flagged), stay[~beat]])
+    resolved = np.zeros(pa.size, dtype=bool)
+    resolved[open_idx[whole]] = True
+    recompute = np.concatenate([checked[stale], open_idx[whole]])
+    redo_a = np.concatenate([pa[recompute], new_a])
+    redo_b = np.concatenate([pb[recompute], new_b])
+    redo_u, redo_v, redo_w = masked_pair_winners(
+        flat, redo_a, redo_b, masked_cd, num_threads
+    )
+
+    kept = np.concatenate([
+        np.flatnonzero(alive_pair & ~flagged), stay[~resolved[stay]]
+    ])
     support.pair_a = np.concatenate([pa[kept], redo_a])
     support.pair_b = np.concatenate([pb[kept], redo_b])
     support.pair_u = np.concatenate([wu[kept], redo_u])
@@ -850,6 +925,7 @@ def _repair_base_pairs(
     if support.pair_wsort is not None:
         dirty = np.zeros(pa.size, dtype=bool)
         dirty[refreshed] = True
+        dirty[lowered] = True
         support.pair_wsort = _repaired_order(
             support.pair_wsort, kept, dirty, redo_a.size, support.pair_w
         )
@@ -860,6 +936,7 @@ def _buffer_winners(
     *,
     live: np.ndarray,
     changed: np.ndarray,
+    shrunk: np.ndarray,
     node_touched: np.ndarray,
     decreased_positions: np.ndarray,
     num_threads,
@@ -871,9 +948,15 @@ def _buffer_winners(
     winning base point and the pair's exact minimum.  One vectorized pass
     applies the base pairs' rules to them:
 
-    * ``q`` died: its pairs are dropped.  ``q``'s own core distance
-      changed: its pairs are dropped and it descends again from the root,
-      as every new insert does;
+    * ``q`` died: its pairs are dropped.  ``q``'s own core distance shrank
+      (``shrunk``, which holds every new insert): its pairs are dropped and
+      it descends from the root;
+    * ``q``'s own core distance grew: its pairs stay.  The separation test
+      only gets stronger as ``cd(q)`` grows, and every candidate is
+      ``max(x_b, cd(q))``, so the cached winner stays a minimizer with its
+      value refreshed; it is stale only when it died or its value rose
+      past ``max(old value, cd(q))``, which only the winner's own growth
+      can do;
     * the node has no alive member left: the pair is dropped;
     * the node holds a touched base point: the pair is re-tested with the
       descent's own :func:`singleton_separated_mask`, and a failing
@@ -882,8 +965,7 @@ def _buffer_winners(
       invalidates it (a singleton leaf only refreshes its value).  A base
       member ``b`` whose core distance *decreased* offers one new candidate
       ``(q, b)``; its exact :meth:`Metric.exact_edge_weights` row replaces
-      the cached winner when smaller, with no kernel call — winner identity
-      is free under :func:`repro.mst.canonical_mst_arrays`.
+      the cached winner when smaller, with no kernel call.
 
     Only the pairs of these descents reach :func:`masked_pair_winners`,
     so the buffer's share of an update follows the update's size, not the
@@ -894,10 +976,11 @@ def _buffer_winners(
     points, cds = support.stable_points, support.stable_cd
     q, nodes = support.bpair_q, support.bpair_node
     wv, ww = support.bpair_v, support.bpair_w
-    alive_pair = live[q] & ~changed[q] & node_alive[nodes]
-    flagged = alive_pair & node_touched[nodes]
+    alive_pair = live[q] & ~shrunk[q] & node_alive[nodes]
     leaf = flat.is_leaf(nodes)
-    test_idx = np.flatnonzero(flagged & ~leaf)
+    retest = alive_pair & node_touched[nodes] & ~leaf
+    flagged = alive_pair & (node_touched[nodes] | changed[q])
+    test_idx = np.flatnonzero(retest)
     still = singleton_separated_mask(
         flat,
         np.ascontiguousarray(
@@ -907,8 +990,10 @@ def _buffer_winners(
         nodes[test_idx],
     )
     split = test_idx[~still]
-    checked = np.concatenate([np.flatnonzero(flagged & leaf), test_idx[still]])
-    stale, refreshed = _stale_winners(support, checked, q, wv, ww, live, changed)
+    checked = np.concatenate([np.flatnonzero(flagged & ~retest), test_idx[still]])
+    stale, refreshed = _stale_winners(
+        support, checked, q, wv, ww, live, changed, floor=cds[q[checked]]
+    )
     stale &= ~leaf[checked]
     stay = checked[~stale]
 
@@ -917,27 +1002,23 @@ def _buffer_winners(
         flat, nodes[open_idx], decreased_positions
     )
     pos = open_idx[row_of]
-    values = support.metric.exact_edge_weights(points, q[pos], members, cds)
-    below = np.flatnonzero(values < ww[pos])
-    # The smallest undercutting row of each pair becomes its winner.
-    below = below[np.argsort(values[below], kind="stable")]
-    _, first = np.unique(pos[below], return_index=True)
-    best = below[first]
-    lowered = pos[best]
-    ww[lowered] = values[best]
-    wv[lowered] = members[best]
+    lowered = _lower_winners(
+        pos, q[pos], members,
+        support.metric.exact_edge_weights(points, q[pos], members, cds),
+        q, wv, ww,
+    )
 
-    # Fresh pairs come from one descent: new and re-cored buffer points
-    # start at the root, failed pairs and stale winners at their node (a
-    # stale pair is still separated, so it comes back as itself).  Each
-    # root yields its own pairs, so blocks of roots yield the same pairs in
+    # Fresh pairs come from one descent: new and shrunk buffer points start
+    # at the root, failed pairs and stale winners at their node (a stale
+    # pair is still separated, so it comes back as itself).  Each root
+    # yields its own pairs, so blocks of roots yield the same pairs in
     # another order (which the canonical MST normal form erases) and keep
     # the transient pair arrays small.
     masked_cd = cds.copy()
     masked_cd[: support.n_base][~support.base_alive] = np.inf
     redo = np.concatenate([split, checked[stale]])
     buffer = support.buffer
-    starts = np.concatenate([buffer[changed[buffer]], q[redo]])
+    starts = np.concatenate([buffer[shrunk[buffer]], q[redo]])
     roots = np.concatenate([
         np.zeros(starts.size - redo.size, dtype=np.int64), nodes[redo]
     ])

@@ -18,8 +18,9 @@ repair:
   :meth:`Metric.exact_edge_weights` kernel — the same
   :meth:`Metric.diff_norms` rows the k-NN fold reads core distances from,
   so cached and recomputed values share one bitwise contract;
-* the winner *beat* test — a certified lower bound deciding whether a
-  core-distance change anywhere in a pair could undercut its cached winner;
+* the winner *beat* filter — a certified lower bound picking the members
+  whose shrunk core distance could undercut their pair's cached winner,
+  each one (member, other node) row for the caller to resolve;
 * the (point, node) separation test and the singleton descent pairing
   each buffered point against the base tree (or a subtree, when a cached
   pair lost its separation) under the HDBSCAN* separation predicate
@@ -235,22 +236,24 @@ def winner_beat_mask(
     points: np.ndarray,
     core_distances: np.ndarray,
     winner_values: np.ndarray,
-) -> np.ndarray:
-    """Could a touched member of ``nodes[i]`` undercut the cached winner?
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The touched members of ``nodes[i]`` that could undercut its winner.
 
     ``touched_positions`` are the sorted permutation positions of the alive
-    points whose core distance changed this update.  For each such member
+    points whose core distance shrank this update.  For each such member
     ``q`` of ``nodes[i]`` the certified lower bound
     ``L(q) = max(gap(q, box(other)), cd(q), cd_min_live(other))`` bounds every
     candidate ``max(d(q, b), cd(q), cd(b))`` with ``b`` alive in the other
-    node from below; the pair needs a winner recompute only when some
-    ``L(q) < winner_values[i]``.  ``flat.cd_min`` must already hold the live
-    extrema.  The test is one-sided — call it for both orientations.
+    node from below, so only rows with ``L(q) < winner_values[i]`` can hold
+    a smaller candidate; each such row is one (point, node) pair ``(q,
+    other_nodes[i])`` for the caller to resolve.  ``flat.cd_min`` must
+    already hold the live extrema.  The filter is one-sided — call it for
+    both orientations.  Returns parallel ``(row_of, point_index)`` arrays
+    of the undercutting rows, grouped by row.
     """
-    out = np.zeros(nodes.shape[0], dtype=bool)
     pair_of, q = node_member_rows(flat, nodes, touched_positions)
     if q.size == 0:
-        return out
+        return pair_of, q
     queries = np.ascontiguousarray(points[q], dtype=flat.backend.scoring_dtype)
     gaps = np.asarray(
         flat.min_distances_to_points(queries, other_nodes[pair_of]),
@@ -261,8 +264,7 @@ def winner_beat_mask(
         np.asarray(flat.cd_min[other_nodes[pair_of]], dtype=np.float64),
     )
     beat = bound < winner_values[pair_of]
-    out[np.unique(pair_of[beat])] = True
-    return out
+    return pair_of[beat], q[beat]
 
 
 def singleton_separated_mask(

@@ -57,17 +57,23 @@ def _canonical_sweep(
     inlined fast path.
     """
     m = int(tu.shape[0])
-    out_u = np.empty(m, dtype=np.int64)
-    out_v = np.empty(m, dtype=np.int64)
-    out_w = np.empty(m, dtype=np.float64)
     if m == 0:
-        return out_u, out_v, out_w
-    parent = np.arange(n, dtype=np.int64)
-    rank = np.zeros(n, dtype=np.int8)
-    comp_min = np.arange(n, dtype=np.int64)
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    # Union-find state and outputs live in Python lists: the per-edge loop
+    # indexes them one scalar at a time, which numpy arrays make slow.
+    parent = list(range(n))
+    rank = [0] * n
+    comp_min = list(range(n))
     u_list = tu.tolist()
     v_list = tv.tolist()
     w_list = tw.tolist()
+    out_u = []
+    out_v = []
+    out_w = []
 
     def find(x: int) -> int:
         while True:
@@ -90,7 +96,6 @@ def _canonical_sweep(
         comp_min[rx] = low
         return rx
 
-    out = 0
     i = 0
     while i < m:
         weight = w_list[i]
@@ -105,10 +110,9 @@ def _canonical_sweep(
             b = comp_min[rv]
             if a > b:
                 a, b = b, a
-            out_u[out] = a
-            out_v[out] = b
-            out_w[out] = weight
-            out += 1
+            out_u.append(a)
+            out_v.append(b)
+            out_w.append(weight)
             union(ru, rv)
         else:
             # Multi-edge class: group the participating blocks, then chain
@@ -151,18 +155,21 @@ def _canonical_sweep(
                     b = comp_min[other]
                     if a > b:
                         a, b = b, a
-                    out_u[out] = a
-                    out_v[out] = b
-                    out_w[out] = weight
-                    out += 1
+                    out_u.append(a)
+                    out_v.append(b)
+                    out_w.append(weight)
                     head = union(head, other)
         i = j
-    if out != m:
+    if len(out_u) != m:
         raise InvalidParameterError(
             "canonicalization changed the merge count; the input edges were "
             "not a spanning forest sweep"
         )
-    return out_u, out_v, out_w
+    return (
+        np.array(out_u, dtype=np.int64),
+        np.array(out_v, dtype=np.int64),
+        np.array(out_w, dtype=np.float64),
+    )
 
 
 def canonical_mst_arrays(

@@ -193,10 +193,8 @@ class ServingEngine:
         batch = None
         if insert is not None:
             batch = _array(request, "insert", np.float64)
-            if batch.ndim == 1:
-                batch = batch.reshape(1, -1)
-            if batch.size == 0:
-                batch = None
+            if batch.ndim == 1 and batch.size:
+                batch = batch.reshape(1, -1)  # one point
         with self._update_lock:
             state = update_batch(
                 self.state, indices, batch, num_threads=self.num_threads

@@ -10,6 +10,7 @@ gate through empty/singleton/duplicate territory where index bookkeeping
 usually dies.
 """
 
+import contextlib
 import importlib.util
 import io
 import json
@@ -329,16 +330,33 @@ class TestBufferedPairCache:
     """Buffer×base pair winners are cached across updates and repaired."""
 
     @staticmethod
+    @contextlib.contextmanager
     def buffer_queries(queried):
-        """Patch the pair kernel to record the buffered points it resolves."""
+        """Patch the pair kernel to record the buffered points it resolves.
+
+        Only calls made by the buffer×base repair count: the base repair
+        resolves rows of base points through the same kernel.
+        """
         winners = dynamic_engine.masked_pair_winners
+        buffer_winners = dynamic_engine._buffer_winners
+        inside = []
 
         def recording(flat, pair_a, pair_b, cds, num_threads, points=None):
-            if points is not None:
+            if inside and points is not None:
                 queried.append(np.asarray(pair_a).copy())
             return winners(flat, pair_a, pair_b, cds, num_threads, points)
 
-        return mock.patch.object(dynamic_engine, "masked_pair_winners", recording)
+        def scoped(*args, **kwargs):
+            inside.append(True)
+            try:
+                return buffer_winners(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        with mock.patch.object(
+            dynamic_engine, "masked_pair_winners", recording
+        ), mock.patch.object(dynamic_engine, "_buffer_winners", scoped):
+            yield
 
     def test_old_buffered_points_are_not_resolved_again(self):
         points = np.random.default_rng(8).random((2000, 3))
@@ -391,6 +409,40 @@ class TestBufferedPairCache:
         assert_states_identical(
             state,
             fit_dynamic(np.concatenate([base, group, duplicates]), min_pts=MIN_PTS),
+        )
+
+    def test_grown_buffered_point_keeps_its_pairs(self):
+        # A tight group far from the base is buffered; deleting one of its
+        # points grows its neighbours' core distances.  Their cached pairs
+        # stay: only the new insert descends from the root.
+        rng = np.random.default_rng(4)
+        base = np.concatenate(
+            [rng.random((300, 2)), rng.random((300, 2)) + [3.0, 0.0]]
+        )
+        group = rng.random((8, 2)) * 0.1 + [1.5, 4.0]
+        state = insert_batch(fit_dynamic(base, min_pts=MIN_PTS), group)
+        before = state.core_distances[base.shape[0] + 1:]
+        descents = []
+        descend = dynamic_engine.descend_singleton_pairs
+
+        def recording(flat, queries, query_cds, node_alive, roots):
+            descents.append((np.array(queries), np.array(roots)))
+            return descend(flat, queries, query_cds, node_alive, roots=roots)
+
+        extra = base[:1] + 1e-3
+        with mock.patch.object(
+            dynamic_engine, "descend_singleton_pairs", recording
+        ):
+            state = update_batch(state, [base.shape[0]], extra)
+        after = state.core_distances[base.shape[0]: -1]
+        grown = group[1:][after > before]
+        assert grown.shape[0] > 0
+        for queries, roots in descents:
+            is_grown = (queries[:, None, :] == grown[None]).all(-1).any(1)
+            assert not (is_grown & (roots == 0)).any()
+        assert_states_identical(
+            state,
+            fit_dynamic(np.concatenate([base, group[1:], extra]), min_pts=MIN_PTS),
         )
 
     @staticmethod
@@ -448,6 +500,47 @@ class TestBufferedPairCache:
                 )
         assert deleted_buffered > 0
         assert sum(changed_buffered) > 0
+
+
+class TestShrunkMemberRows:
+    """A base pair undercut by a shrunk member is repaired by its rows."""
+
+    def test_shrunk_member_is_resolved_by_its_rows(self):
+        # Two 400-point clusters form one base pair.  An insert next to the
+        # left cluster's point nearest the right one shrinks that point's
+        # core distance, so it might undercut the pair's winner: its row
+        # against the right cluster is resolved, not all 400 x 400
+        # candidates.
+        rng = np.random.default_rng(3)
+        left = rng.random((400, 2))
+        base = np.concatenate([left, rng.random((400, 2)) + [3.0, 0.0]])
+        state = fit_dynamic(base, min_pts=MIN_PTS)
+        support = getattr(state, SUPPORT_ATTR)
+        flat = support.base_tree.flat
+        sizes = (flat.node_end - flat.node_start).astype(np.int64)
+        pair_size = int(
+            (sizes[support.pair_a] * sizes[support.pair_b]).max()
+        )
+        assert pair_size == 400 * 400
+        near = left[np.argmax(left[:, 0])] + [1e-4, 0.0]
+        scored = []
+        windows = dynamic_spatial.bccp_windows
+
+        def counting(points, index, start_a, size_a, start_b, size_b, *a, **k):
+            scored.append(int(np.dot(
+                np.asarray(size_a, dtype=np.int64),
+                np.asarray(size_b, dtype=np.int64),
+            )))
+            return windows(points, index, start_a, size_a, start_b, size_b, *a, **k)
+
+        with mock.patch.object(dynamic_spatial, "bccp_windows", counting):
+            updated = insert_batch(state, near[None])
+        assert (updated.core_distances[:800] < state.core_distances).any()
+        assert sum(scored) < pair_size
+        assert_states_identical(
+            updated,
+            fit_dynamic(np.concatenate([base, near[None]]), min_pts=MIN_PTS),
+        )
 
 
 class TestOnePassUpdate:
@@ -573,7 +666,8 @@ class TestOnePassShapes:
 
     def test_empty_insert(self, cloud):
         delete = np.arange(0, 30, 3)
-        for insert in (None, np.empty((0, 3))):
+        # A 1-d empty batch is no inserts too.
+        for insert in (None, np.empty((0, 3)), [], np.empty(0)):
             state = self.both_paths(
                 lambda: fit_dynamic(cloud, min_pts=4), delete, insert
             )
@@ -684,10 +778,13 @@ class TestValidationAndAdoption:
         state = fit_dynamic(cloud, min_pts=4)
         with pytest.raises(InvalidParameterError):
             insert_batch(state, np.zeros((2, cloud.shape[1] + 1)))
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            update_batch(state, [0], np.empty((0, cloud.shape[1] + 1)))
 
     def test_empty_batches_are_noops(self, cloud):
         state = fit_dynamic(cloud, min_pts=4)
         assert insert_batch(state, np.empty((0, 3))) is state
+        assert insert_batch(state, []) is state
         assert delete_batch(state, np.empty(0, dtype=np.int64)) is state
 
     def test_foreign_state_is_adopted(self, cloud):
@@ -857,6 +954,16 @@ class TestServingUpdateOp:
         labels = engine.handle({"op": "labels"})
         assert labels["ok"]
         assert labels["labels"] == cold.recut().labels.tolist()
+
+    def test_update_with_empty_insert_deletes_only(self):
+        points = gaussian_blobs(60, 2, num_clusters=2, seed=7)
+        engine = ServingEngine(fit_dynamic(points, min_pts=4))
+        response = engine.handle({"op": "update", "delete": [0], "insert": []})
+        assert response["ok"], response
+        assert response["deleted"] == 1
+        assert response["inserted"] == 0
+        assert response["num_points"] == 59
+        assert_states_identical(engine.state, fit_dynamic(points[1:], min_pts=4))
 
     def test_update_requires_a_mutation(self):
         engine = ServingEngine(

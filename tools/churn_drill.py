@@ -1,12 +1,14 @@
 """Churn drill: incremental updates must equal a cold fit, byte for byte.
 
-Fits ``fit_dynamic`` on the first half of a 7D-Household sample, then runs
-rounds of ``update_batch``: each round deletes random rows and inserts
+Fits ``fit_dynamic`` on the first half of a data set sample (7D-Household
+unless ``--dataset`` names another registry set), then runs rounds of
+``update_batch``: each round deletes random rows and inserts
 near-data points (a data row plus N(0, 0.05·std) noise).  After every round
 the updated state's ``state_arrays()`` are byte-compared with a cold
 ``fit_dynamic`` of the survivors.  Usage::
 
     python tools/churn_drill.py --seeds 1-50
+    python tools/churn_drill.py --dataset 2D-SS-varden --seeds 1-20
 
 Exits 0 when every seed passes and 1 on the first byte difference, printing
 the seed, the round and the differing arrays.
@@ -51,9 +53,11 @@ def differing_arrays(state, reference) -> List[str]:
     ]
 
 
-def run_drill(seed: int, rounds: int = ROUNDS) -> Optional[Tuple[int, List[str]]]:
+def run_drill(
+    seed: int, rounds: int = ROUNDS, dataset: str = DATASET
+) -> Optional[Tuple[int, List[str]]]:
     """Run one seed; ``None`` on success, else ``(round, differing arrays)``."""
-    pool = load_dataset(DATASET, n=POOL_SIZE, seed=0)
+    pool = load_dataset(dataset, n=POOL_SIZE, seed=0)
     rng = np.random.default_rng(seed)
     noise = 0.05 * pool.std(axis=0)
     points = pool[:FIT_SIZE]
@@ -82,16 +86,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1-50", help="seed range, e.g. 1-50 or 30")
     parser.add_argument("--rounds", type=int, default=ROUNDS)
+    parser.add_argument("--dataset", default=DATASET, help="registry data set")
     args = parser.parse_args(argv)
     seeds = _parse_seeds(args.seeds)
     for seed in seeds:
-        failure = run_drill(seed, args.rounds)
+        failure = run_drill(seed, args.rounds, args.dataset)
         if failure is not None:
             round_no, names = failure
             print(f"seed {seed} round {round_no}: differs in {', '.join(names)}")
             return 1
         print(f"seed {seed}: {args.rounds} rounds byte-identical", flush=True)
-    print(f"churn drill passed on {len(seeds)} seeds")
+    print(f"churn drill passed on {len(seeds)} seeds of {args.dataset}")
     return 0
 
 
