@@ -38,7 +38,6 @@ environment variable read once at import > ``numpy``.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Optional, Tuple, Union
 
@@ -96,57 +95,75 @@ def _window_ids(index, start, size, width) -> Tuple[np.ndarray, np.ndarray]:
     """``(g, width)`` ids of index windows padded to ``width`` (overhang
     slots repeat the window's last member) and their validity mask."""
     col = np.arange(width, dtype=np.int64)[None, :]
-    ids = index[start[:, None] + np.minimum(col, size[:, None] - 1)]
-    return ids, col < size[:, None]
+    pos = np.minimum(col, size[:, None] - 1)
+    pos += start[:, None]
+    return np.take(index, pos), col < size[:, None]
 
 
 def _certified_band(metric: Metric, dim: int, pts_a=None, pts_b=None):
     """``(factor, offset)`` bounding a scoring kernel against the exact one.
 
-    A candidate's score ``s`` and its exact :meth:`Metric.diff_norms` value
-    ``x`` satisfy ``x <= s * factor + offset`` and ``s <= x * factor +
-    offset``.  Given the padded ``(g, p, d)`` blocks, the band covers the
-    metric's NumPy block kernel over them: for Euclidean, the BLAS
-    expansion's squared-domain error ``(2d + 8) eps (|a|^2 + |b|^2)``
-    (bounded through the blocks' largest coordinate) after the square root,
-    with margin; the per-axis kernels only sum the same rounded terms in
-    another order, a relative error.  Without blocks it covers the compiled
-    difference-and-norm scan (relative too).  The offset floor bounds
-    subnormal rounding, which a root of order ``p`` amplifies.
+    A candidate's score ``s`` and the score ``t`` of its exact
+    :meth:`Metric.diff_norms` value satisfy ``t <= s * factor + offset``
+    and ``s <= t * factor + offset``.
+
+    Given the padded ``(g, p, d)`` blocks, the band covers
+    :meth:`Metric.block_cross_scores` over them, in the domain of
+    :meth:`Metric.scores_of`.  For Euclidean that is the squared domain,
+    where the expansion's error bound already lives: ``-2 a.b + |a|^2 +
+    |b|^2`` lies within ``(2d + 8) eps (|a|^2 + |b|^2)`` of the real
+    ``|a - b|^2``, and so does the rounded square ``t`` of the exact value
+    ``x`` (a rounded root of ``d`` rounded squares).  ``c = 16d + 64``
+    covers both with margin, ``|a|^2 + |b|^2`` is bounded through the
+    blocks' largest coordinate, and the offset carries no relative part.
+    The per-axis kernels score distances themselves: the same rounded terms
+    summed in another order, a relative error.  Without blocks the band
+    covers the compiled difference-and-norm scan, which works in the
+    distance domain (relative too).  The offset floor bounds subnormal
+    rounding, which a root of order ``p`` amplifies.
+
+    Core distances enter both sides through the same nondecreasing map:
+    a mutual-reachability score ``max(s, scores_of(cd_u), scores_of(cd_v))``
+    lies in the band of the exact one's score, since ``max`` with a common
+    term keeps the bound.  Rounding ``scores_of(cd)`` (a square) can merge
+    two different values into one score but never reverse them, so it only
+    adds ties, and ties only send a pair to the exact step.
     """
     c = 16.0 * dim + 64.0
-    if pts_a is not None and isinstance(metric, EuclideanMetric):
+    euclidean = isinstance(metric, EuclideanMetric)
+    if pts_a is not None and euclidean:
         scale = float(max(pts_a.max(), -pts_a.min(), pts_b.max(), -pts_b.min()))
         norms = 2.0 * dim * scale * scale  # bounds |a|^2 + |b|^2
-        return 1.0, 2.0 * math.sqrt(c * (_EPS * norms + _TINY))
-    euclidean = isinstance(metric, EuclideanMetric)
+        return 1.0, c * (_EPS * norms + _TINY)
     order = 2.0 if euclidean else getattr(metric, "p", 1.0)
     offset = 0.0 if order == 1.0 else 2.0 * (c * _TINY) ** (1.0 / order)
     return 1.0 + c * _EPS, offset
 
 
 def _exact_first_minimum(
-    metric, points, core_distances, score, in_band, idx_a, idx_b, factor, offset
+    metric, points, core_distances, score, value, limit, pairs, idx_a, idx_b,
+    factor, offset,
 ) -> np.ndarray:
-    """Flat row-major position of each pair's exact-minimum winner, over
-    the padded blocks of some pairs of a class.
+    """Flat row-major position of the exact-minimum winner of each of the
+    class pairs ``pairs``.
 
-    ``in_band`` marks the candidates that can attain, or tie, their pair's
-    exact minimum.  One whose core distance reaches its certified distance
-    bound ``score * factor + offset`` is exact already: its value *is*
-    ``max(cd_u, cd_v)``.  The others are evaluated with
-    :meth:`Metric.exact_edge_weights`.
+    A candidate whose mutual-reachability score lies within its pair's
+    ``limit`` can attain, or tie, its pair's exact minimum.  One whose core
+    distance's score exceeds its certified bound ``score * factor +
+    offset`` is exact already: its value *is* ``max(cd_u, cd_v)``.  The
+    others are evaluated with :meth:`Metric.exact_edge_weights`.
     """
-    pair, pos_a, pos_b = np.nonzero(in_band)
-    u, v = idx_a[pair, pos_a], idx_b[pair, pos_b]
+    pair, pos_a, pos_b = np.nonzero(value[pairs] <= limit[pairs, None, None])
+    row = pairs[pair]
+    u, v = idx_a[row, pos_a], idx_b[row, pos_b]
     if core_distances is None:
-        exact = np.zeros(pair.size)
+        exact = metric.exact_edge_weights(points, u, v)
     else:
         exact = np.maximum(core_distances[u], core_distances[v])
-    open_ = score[pair, pos_a, pos_b] * factor + offset > exact
-    exact[open_] = metric.exact_edge_weights(
-        points, u[open_], v[open_], core_distances
-    )
+        open_ = score[row, pos_a, pos_b] * factor + offset >= metric.scores_of(exact)
+        exact[open_] = metric.exact_edge_weights(
+            points, u[open_], v[open_], core_distances
+        )
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
     counts = np.diff(np.append(starts, pair.size))
     at_min = exact == np.repeat(np.minimum.reduceat(exact, starts), counts)
@@ -245,62 +262,57 @@ class KernelBackend:
         ``out_pb`` at ``rows`` and the caller re-evaluates their weights
         exactly in float64.
 
-        The NumPy implementation scores every padded block with the metric's
-        batched tensor kernel and takes the mutual reachability with the
-        core distances (``+inf`` at padded slots, which repeat the window's
-        last member).  On an exact backend every exact value lies within the
-        certified band of :func:`_certified_band` around its score, so the
-        row-major argmin is the winner when no other candidate of its pair
-        lies within the band of it; the few pairs where one does go to
-        :func:`_exact_first_minimum`.  Either way the winner is the
-        row-major first candidate attaining the pair's exact minimum.  A
-        lowered backend keeps the plain argmin of its float32 scores.
+        The NumPy implementation scores every padded block with
+        :meth:`Metric.block_cross_scores` in the calling thread's workspace
+        (squared distances for Euclidean, never rooted); padded slots, which
+        repeat the window's last member, score ``+inf``.  Under core
+        distances a second workspace tensor takes the maximum with their
+        :meth:`Metric.scores_of`, leaving the raw scores for the exact step.
+        On an exact backend every exact value's score lies within the
+        certified band of :func:`_certified_band` around the candidate's
+        score, so the row-major argmin is the winner when its pair's second
+        minimum (the argmin masked) lies outside the band of it; the few
+        pairs where it does not go to :func:`_exact_first_minimum`.  Either
+        way the winner is the row-major first candidate attaining the pair's
+        exact minimum.  A lowered backend keeps the plain argmin of its
+        float32 scores.
         """
         g = rows.size
         idx_a, valid_a = _window_ids(index, start_a, size_a, p_a)
         idx_b, valid_b = _window_ids(index, start_b, size_b, p_b)
-        pts_a = points[idx_a]  # (g, p_a, d)
-        pts_b = points[idx_b]  # (g, p_b, d)
-        # The tensors live in the calling thread's reusable workspace (see
-        # ``Metric.block_cross_distances``).  Under core distances the raw
-        # scores stay intact for the exact step.
-        score = metric.block_cross_distances(pts_a, pts_b, workspace)
-        if core_distances is None:
-            value = score
-            cd_a = np.where(valid_a, 0.0, np.inf)
-            cd_b = np.where(valid_b, 0.0, np.inf)
-        else:
+        # ``np.take`` gathers whole rows several times faster than fancy
+        # indexing does.
+        pts_a = np.take(points, idx_a, axis=0)  # (g, p_a, d)
+        pts_b = np.take(points, idx_b, axis=0)  # (g, p_b, d)
+        score = metric.block_cross_scores(pts_a, pts_b, workspace, valid_a, valid_b)
+        value = score
+        if core_distances is not None:
             value = workspace.take("bccp.value", score.shape, dtype=score.dtype)
-            cd_a = np.where(valid_a, core_distances[idx_a], np.inf)
-            cd_b = np.where(valid_b, core_distances[idx_b], np.inf)
-        np.maximum(score, cd_a[:, :, None], out=value)
-        np.maximum(value, cd_b[:, None, :], out=value)
+            cd_a = metric.scores_of(core_distances[idx_a])
+            cd_b = metric.scores_of(core_distances[idx_b])
+            np.maximum(score, cd_a[:, :, None], out=value)
+            np.maximum(value, cd_b[:, None, :], out=value)
 
         flat = value.reshape(g, p_a * p_b)
         winners = flat.argmin(axis=1)
         arange_g = np.arange(g, dtype=np.int64)
         if self.exact:
-            # ``value`` is the scored mutual reachability; every exact value
-            # lies within ``factor`` / ``offset`` of it, so only candidates
-            # within the band of the pair's minimum can attain (or tie) the
-            # exact minimum.  Alone in the band, the argmin is the winner.
+            # Only candidates within the band of the pair's minimum can
+            # attain (or tie) the exact minimum; alone in the band, the
+            # argmin is the winner.
             factor, offset = _certified_band(
                 metric, points.shape[1], pts_a, pts_b
             )
             best = flat[arange_g, winners]
-            limit = ((best * factor + offset) * factor + offset)[:, None]
-            # A uint8 count is the fast one; it cannot wrap below 256 slots.
-            in_band = np.add.reduce(
-                flat <= limit,
-                axis=1,
-                dtype=np.uint8 if flat.shape[1] < 256 else np.int64,
-            )
-            ambiguous = np.flatnonzero(in_band > 1)
+            limit = (best * factor + offset) * factor + offset
+            flat[arange_g, winners] = np.inf
+            second = flat.min(axis=1)
+            flat[arange_g, winners] = best
+            ambiguous = np.flatnonzero(second <= limit)
             if ambiguous.size:
                 winners[ambiguous] = _exact_first_minimum(
-                    metric, points, core_distances, score[ambiguous],
-                    value[ambiguous] <= limit[ambiguous, :, None],
-                    idx_a[ambiguous], idx_b[ambiguous], factor, offset,
+                    metric, points, core_distances, score, value, limit,
+                    ambiguous, idx_a, idx_b, factor, offset,
                 )
         win_i, win_j = np.divmod(winners, p_b)
         out_pa[rows] = idx_a[arange_g, win_i]

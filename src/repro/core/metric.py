@@ -30,7 +30,9 @@ per-axis gap vector.
 Supported metrics:
 
 * ``euclidean`` (L2) — the scoring kernels compare in squared space (the
-  ``|x|^2 + |y|^2 - 2 x.y`` BLAS expansion) with one final clamp-and-sqrt;
+  ``|x|^2 + |y|^2 - 2 x.y`` BLAS expansion); the BCCP kernel ranks those
+  squared scores directly and only the distance kernels take the
+  clamp-and-sqrt;
 * ``manhattan`` (L1, a.k.a. cityblock/taxicab);
 * ``chebyshev`` (L∞, a.k.a. maximum/chessboard);
 * ``minkowski`` with a general order ``p >= 1`` (``p`` of 1, 2 or ``inf``
@@ -38,8 +40,10 @@ Supported metrics:
 
 The non-Euclidean batch kernels never materialize an ``(…, d)``-times-larger
 difference tensor: they accumulate ``|a_j - b_j|^p`` one coordinate axis at a
-time into a distance-shaped accumulator, so their peak memory matches the
-Euclidean expansion kernels and the existing chunk budgets stay valid.
+time into a distance-shaped accumulator plus one same-shaped axis scratch, so
+a BCCP chunk holds two distance-shaped tensors under them against one under
+the Euclidean expansion (:attr:`Metric.score_tensors`), and the BCCP chunk
+sizing counts that.
 """
 
 from __future__ import annotations
@@ -82,6 +86,9 @@ class Metric:
 
     #: Canonical metric name (``"euclidean"``, ``"manhattan"``, …).
     name: str = "metric"
+
+    #: Chunk-shaped workspace tensors :meth:`block_cross_scores` holds at once.
+    score_tensors: int = 1
 
     # -- identity ------------------------------------------------------------
 
@@ -167,17 +174,40 @@ class Metric:
             np.maximum(weights, core_distances[index_b], out=weights)
         return weights
 
+    def scores_of(self, distances: np.ndarray) -> np.ndarray:
+        """The scoring domain of :meth:`block_cross_scores`: a nondecreasing
+        map of distances (identity here).  The BCCP kernel compares core
+        distances in it; being monotone, its rounding can merge two values
+        into a tie but never reverse their order."""
+        return distances
+
+    def block_cross_scores(
+        self,
+        pts_a: np.ndarray,
+        pts_b: np.ndarray,
+        workspace,
+        valid_a: Optional[np.ndarray] = None,
+        valid_b: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Batched BCCP score tensor: ``(g, p_a, d) × (g, p_b, d) → (g, p_a, p_b)``.
+
+        Entry ``[r, i, j]`` scores the pair ``(pts_a[r, i], pts_b[r, j])``
+        in the domain of :meth:`scores_of`, within the certified band of
+        :func:`repro.core.backend._certified_band`.  Slots whose ``(g, p)``
+        validity mask is false score ``+inf``.  ``workspace`` is the
+        calling thread's reusable buffer pool
+        (:func:`repro.parallel.pool.current_workspace`); the tensor aliases
+        its ``"bccp.cross"`` buffer and is valid until that key is taken
+        again, which matches how the BCCP size-class kernel consumes it.
+        """
+        raise NotImplementedError
+
     def block_cross_distances(
         self, pts_a: np.ndarray, pts_b: np.ndarray, workspace
     ) -> np.ndarray:
-        """Batched BCCP distance tensor: ``(g, p_a, d) × (g, p_b, d) → (g, p_a, p_b)``.
-
-        ``workspace`` is the calling thread's reusable buffer pool
-        (:func:`repro.parallel.pool.current_workspace`); the returned tensor
-        aliases workspace storage and is valid until the next ``take`` of the
-        same keys, which matches how the BCCP size-class kernel consumes it.
-        """
-        raise NotImplementedError
+        """Batched distance tensor: :meth:`block_cross_scores` mapped back to
+        distances in place (the identity here)."""
+        return self.block_cross_scores(pts_a, pts_b, workspace)
 
     # -- geometric bounds ----------------------------------------------------
 
@@ -195,8 +225,8 @@ class EuclideanMetric(Metric):
 
     The dense scoring kernels compare in *squared* space (the
     ``|x|^2 + |y|^2 - 2 x.y`` BLAS expansion — the internal "sqeuclidean"
-    fast path) with a single clamp-and-sqrt at the end; exact distances are
-    the einsum row sums of :meth:`diff_norms`.
+    fast path); exact distances are the einsum row sums of
+    :meth:`diff_norms`.
     """
 
     name = "euclidean"
@@ -220,27 +250,33 @@ class EuclideanMetric(Metric):
         np.maximum(sq, 0.0, out=sq)
         return np.sqrt(sq)
 
-    def block_cross_distances(
-        self, pts_a: np.ndarray, pts_b: np.ndarray, workspace
+    def scores_of(self, distances: np.ndarray) -> np.ndarray:
+        return np.square(distances)
+
+    def block_cross_distances(self, pts_a, pts_b, workspace) -> np.ndarray:
+        sq = self.block_cross_scores(pts_a, pts_b, workspace)
+        np.maximum(sq, 0.0, out=sq)
+        return np.sqrt(sq, out=sq)
+
+    def block_cross_scores(
+        self, pts_a, pts_b, workspace, valid_a=None, valid_b=None
     ) -> np.ndarray:
         g, p_a, _ = pts_a.shape
         p_b = pts_b.shape[1]
-        # Same expansion, summation kernels and rounding as ``cross_distances``
-        # (einsum row norms, BLAS matmul cross terms, clamp, sqrt), so the
-        # minimized values — and therefore the argmin tie-breaking — agree
-        # with the dense per-pair matrix bit-for-bit.  The cross-term tensor — the
-        # largest temporary — lives in the calling thread's reusable
-        # workspace, so each pool worker allocates it once across all its
-        # class chunks.
-        cross = workspace.take("bccp.cross", (g, p_a, p_b), dtype=pts_a.dtype)
-        np.matmul(pts_a, pts_b.transpose(0, 2, 1), out=cross)
+        # Squared distances, unclamped, in the one workspace tensor: the
+        # cross terms of ``-2 a`` (scaling by -2 is exact) plus the row and
+        # column norms, added in place.  Padded slots get an infinite norm,
+        # so they score +inf with no pass of their own.
+        score = workspace.take("bccp.cross", (g, p_a, p_b), dtype=pts_a.dtype)
+        np.matmul(pts_a * -2.0, pts_b.transpose(0, 2, 1), out=score)
         sq_a = np.einsum("gpd,gpd->gp", pts_a, pts_a)
         sq_b = np.einsum("gqd,gqd->gq", pts_b, pts_b)
-        sq = sq_a[:, :, None] + sq_b[:, None, :]
-        cross *= 2.0
-        sq -= cross
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq, out=sq)
+        if valid_a is not None:
+            sq_a[~valid_a] = np.inf
+            sq_b[~valid_b] = np.inf
+        score += sq_a[:, :, None]
+        score += sq_b[:, None, :]
+        return score
 
 
 class _AxisAccumulatingMetric(Metric):
@@ -249,7 +285,10 @@ class _AxisAccumulatingMetric(Metric):
     The dense kernels accumulate one coordinate axis at a time into a
     distance-shaped output, so peak memory stays at the size of the result
     (plus one same-shaped scratch buffer) regardless of dimensionality.
+    Scores are the distances themselves.
     """
+
+    score_tensors = 2
 
     def _accumulate(self, acc: np.ndarray, axis_abs_diff: np.ndarray) -> None:
         """Fold one axis's ``|a_j - b_j|`` into the running accumulator."""
@@ -269,21 +308,28 @@ class _AxisAccumulatingMetric(Metric):
             self._accumulate(acc, diff)
         return self._finalize(acc)
 
-    def block_cross_distances(
-        self, pts_a: np.ndarray, pts_b: np.ndarray, workspace
+    def block_cross_scores(
+        self, pts_a, pts_b, workspace, valid_a=None, valid_b=None
     ) -> np.ndarray:
         g, p_a, d = pts_a.shape
         p_b = pts_b.shape[1]
         acc = workspace.take("bccp.cross", (g, p_a, p_b), dtype=pts_a.dtype)
         acc.fill(0.0)
-        diff = workspace.take("bccp.axis", (g, p_a, p_b), dtype=pts_a.dtype)
+        # The axis scratch shares its key with the BCCP kernel's
+        # mutual-reachability tensor, which is only taken once scoring is
+        # done: a chunk holds two tensors either way.
+        diff = workspace.take("bccp.value", (g, p_a, p_b), dtype=pts_a.dtype)
         for axis in range(d):
             np.subtract(
                 pts_a[:, :, None, axis], pts_b[:, None, :, axis], out=diff
             )
             np.abs(diff, out=diff)
             self._accumulate(acc, diff)
-        return self._finalize(acc)
+        acc = self._finalize(acc)
+        if valid_a is not None:
+            acc[~valid_a] = np.inf
+            acc.transpose(0, 2, 1)[~valid_b] = np.inf
+        return acc
 
 
 class ManhattanMetric(_AxisAccumulatingMetric):

@@ -19,15 +19,19 @@ and memory budget, however far the points sit from the origin.
 
 Each padded size class of pairs is resolved by the backend's
 :meth:`~repro.core.backend.KernelBackend.bccp_class` with no per-pair Python
-dispatch.  The numpy backend scores a class with one batched tensor and
-takes its argmin; a certified error band around the scores says whether any
-other candidate could attain, or tie, the exact minimum, and only such pairs
-evaluate their banded candidates exactly (a candidate whose core-distance
-term dominates is exact without evaluation).  The numba backend's compiled
-scan flags the pairs it cannot certify and hands them to the numpy step.  A
-lowered (float32) backend keeps the plain argmin of its float32 scores, its
-documented approximate contract.  Every returned weight is the winner's
-exact float64 value.
+dispatch.  The numpy backend scores a class chunk in the calling thread's
+workspace tensor, in the metric's scoring domain (squared distances for
+Euclidean, never rooted), with padded slots at ``+inf``; under core
+distances one more workspace tensor takes the maximum with the squared (or
+plain) core distances.  It takes each pair's argmin, masks it and takes one
+more minimum: a certified error band around the scores says whether that
+second minimum, and so any other candidate, could attain or tie the exact
+minimum, and only such pairs evaluate their banded candidates exactly (a
+candidate whose core-distance term dominates is exact without evaluation).
+The numba backend's compiled scan flags the pairs it cannot certify and
+hands them to the numpy step.  A lowered (float32) backend keeps the plain
+argmin of its float32 scores, its documented approximate contract.  Every
+returned weight is the winner's exact float64 value.
 
 Results are memoized in a :class:`BCCPCache` keyed by unordered node-id
 pairs — matching the paper's remark that "we cache the BCCP results of pairs
@@ -47,15 +51,20 @@ import numpy as np
 
 from repro.core.backend import KernelBackend
 from repro.core.context import current_context
+from repro.core.errors import InvalidParameterError
 from repro.core.metric import Metric
 from repro.parallel.pool import current_workspace, parallel_map, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
 from repro.spatial.kdtree import KDTree
 
-#: Soft cap on the number of padded distance entries one batched class chunk
-#: may materialize (8M float64 entries = 64 MB) when no memory budget is
-#: active; a bounded ambient budget shrinks the cap to its tile share.
+#: Soft cap on the number of padded candidates one batched class chunk may
+#: score (8M, so 64 MB per float64 tensor) when no memory budget is active.
+#: A numpy chunk holds one such tensor for plain Euclidean BCCP, two with core
+#: distances (scores and mutual reachability) and two under the per-axis
+#: metrics (scores and axis scratch, which the mutual reachability reuses).
+#: A bounded ambient budget shrinks the cap to its tile share, split over
+#: that many tensors.
 _BATCH_CHUNK_ELEMENTS = 8_000_000
 
 #: Node pairs whose own ``|A| * |B|`` distance matrix reaches this many
@@ -112,10 +121,11 @@ def bccp_windows(
     """The BCCP / BCCP* winner of every pair of index windows.
 
     Pair ``r`` is the cross product of ``index[start_a[r] : start_a[r] +
-    size_a[r]]`` and the (non-empty) ``b`` window, scanned in row-major
-    order, under the winner rule of the module docstring; a point with an
-    infinite core distance never wins while its pair holds another.
-    Returns ``(point_a, point_b, weight)`` aligned with the pairs.
+    size_a[r]]`` and the ``b`` window, scanned in row-major order, under
+    the winner rule of the module docstring; a point with an infinite core
+    distance never wins while its pair holds another.  Returns ``(point_a,
+    point_b, weight)`` aligned with the pairs.  An empty window raises
+    :class:`InvalidParameterError`.
 
     Pairs are grouped by padded size class ``(pad(|A|), pad(|B|))`` (next
     power of two) and each class chunk is one ``backend.bccp_class`` task;
@@ -133,6 +143,8 @@ def bccp_windows(
     out_pb = np.empty(m, dtype=np.int64)
     if m == 0:
         return out_pa, out_pb, np.empty(0, dtype=np.float64)
+    if size_a.min() < 1 or size_b.min() < 1:
+        raise InvalidParameterError("bccp_windows needs non-empty windows")
     scoring_points = backend.lower_points(points)
     pair_work = size_a * size_b
     current_tracker().add(float(pair_work.sum()), 1.0, phase="bccp")
@@ -152,17 +164,18 @@ def bccp_windows(
     # inline or on the worker pool with identical results.
     workers = resolve_num_threads(num_threads)
     budget = current_context().memory_budget
+    tensors = 2 if core_distances is not None else metric.score_tensors
     chunk_elements = budget.tile_elements(
         np.float64,
         default_elements=_BATCH_CHUNK_ELEMENTS,
-        parts=workers,
+        parts=workers * tensors,
         component="bccp",
     )
     tasks: list = []
     for row in np.flatnonzero(pair_work >= _LARGE_PAIR_ELEMENTS):
         # A single pair's |A| x |B| block is the irreducible tile, so it
         # stays whole and any overshoot of the tile ceiling is recorded.
-        budget.note_allocation(int(pair_work[row]) * 8)
+        budget.note_allocation(int(pair_work[row]) * 8 * tensors)
         tasks.append(
             (np.array([row], dtype=np.int64), int(size_a[row]), int(size_b[row]))
         )

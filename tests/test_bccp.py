@@ -4,15 +4,21 @@ Nodes are named by their flat-tree ids; the reference is brute force over
 the two nodes' point indices, inside the test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conformance import CONFORMANCE_MEMORY_BUDGETS, CONFORMANCE_METRICS
+from repro.core.backend import resolve_backend
 from repro.core.context import use_context
 from repro.core.distance import closest_pair_bruteforce, cross_distances, euclidean
+from repro.core.errors import InvalidParameterError
+from repro.core.metric import resolve_metric
 from repro.hdbscan import core_distances
 from repro.spatial import KDTree
 from repro.wspd import BCCPCache, bccp_batch
+from repro.wspd.bccp import _LARGE_PAIR_ELEMENTS, bccp_windows
 from repro.wspd.wspd import compute_wspd_ids
 
 
@@ -175,25 +181,35 @@ class TestBCCPBatch:
         assert (int(pa[0]), int(pb[0]), float(w[0])) == brute_bccp(tree, a[0], b[0])
 
 
-def exact_oracle(flat, a_ids, b_ids, core=None):
-    """The exact winner rule over whole pair arrays, by full enumeration.
+def window_oracle(points, index, start_a, size_a, start_b, size_b, metric, core=None):
+    """The exact winner rule over index windows, by full enumeration.
 
-    Every candidate of every pair is weighed with
-    ``Metric.exact_edge_weights``; each pair's winner is its first candidate
-    in row-major order (A's window major) whose weight is the pair's
-    minimum.
+    Every candidate of ``index[start_a[r] : start_a[r] + size_a[r]] x
+    index[start_b[r] : start_b[r] + size_b[r]]`` is weighed with
+    ``Metric.exact_edge_weights``; each pair's winner is its first
+    candidate in row-major order (A's window major) whose weight is the
+    pair's minimum.
     """
-    size_a, size_b = flat.node_sizes[a_ids], flat.node_sizes[b_ids]
     counts = size_a * size_b
     offsets = np.cumsum(counts) - counts
-    pair = np.repeat(np.arange(a_ids.size), counts)
+    pair = np.repeat(np.arange(size_a.size), counts)
     k = np.arange(counts.sum()) - offsets[pair]
-    u = flat.perm[flat.node_start[a_ids][pair] + k // size_b[pair]]
-    v = flat.perm[flat.node_start[b_ids][pair] + k % size_b[pair]]
-    exact = flat.metric.exact_edge_weights(flat.points, u, v, core)
+    u = index[start_a[pair] + k // size_b[pair]]
+    v = index[start_b[pair] + k % size_b[pair]]
+    exact = metric.exact_edge_weights(points, u, v, core)
     at_min = exact == np.minimum.reduceat(exact, offsets)[pair]
     first = np.minimum.reduceat(np.where(at_min, np.arange(k.size), k.size), offsets)
     return u[first], v[first], exact[first]
+
+
+def exact_oracle(flat, a_ids, b_ids, core=None):
+    """:func:`window_oracle` over node pairs, one window per node."""
+    return window_oracle(
+        flat.points, flat.perm,
+        flat.node_start[a_ids], flat.node_sizes[a_ids],
+        flat.node_start[b_ids], flat.node_sizes[b_ids],
+        flat.metric, core,
+    )
 
 
 def shifted_points(kind, shift, seed=0):
@@ -234,6 +250,103 @@ class TestExactWinners:
                     context = f"core={core is not None} {threads=} {budget=}"
                     for name, g, w in zip(("point_a", "point_b", "weight"), got, want):
                         assert g.tobytes() == w.tobytes(), f"{name} differs: {context}"
+
+
+def window_case(name, n, rng):
+    """``(start_a, size_a, start_b, size_b)`` windows over ``n`` points of
+    the shapes ``bccp_windows`` is sent beyond node pairs."""
+    if name == "one-point-rows":  # the update repair's row path
+        size_a = np.ones(150, dtype=np.int64)
+        size_b = rng.integers(2, 90, 150)
+    elif name == "padded-class":  # one (8, 16) class padding rows and columns
+        size_a = rng.integers(5, 9, 150)
+        size_b = rng.integers(9, 17, 150)
+    else:  # one pair resolved alone, plus small ones
+        size_a = np.array([130, 3, 40])
+        size_b = np.array([130, 7, 2])
+        assert 130 * 130 >= _LARGE_PAIR_ELEMENTS
+    start_a = rng.integers(0, n - size_a + 1)
+    start_b = rng.integers(0, n - size_b + 1)
+    return start_a, size_a, start_b, size_b
+
+
+class TestWindowWinners:
+    """``bccp_windows`` over the windows the engine sends: the row-major
+    first exact minimum, weight bits included."""
+
+    @pytest.mark.parametrize("case", ["one-point-rows", "padded-class", "large-pair"])
+    @pytest.mark.parametrize("metric", CONFORMANCE_METRICS)
+    @pytest.mark.parametrize("kind", ["uniform", "ties"])
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e7])
+    def test_matches_window_oracle(self, shift, kind, metric, case):
+        points = shifted_points(kind, shift)
+        metric = resolve_metric(metric)
+        rng = np.random.default_rng(17)
+        index = rng.permutation(points.shape[0])
+        windows = window_case(case, points.shape[0], rng)
+        for core in (None, core_distances(points, 5, metric=metric)):
+            want = window_oracle(points, index, *windows, metric, core)
+            for threads in (1, 4):
+                got = bccp_windows(
+                    points, index, *windows, core, metric=metric,
+                    backend=resolve_backend("numpy"), num_threads=threads,
+                )
+                context = f"core={core is not None} {threads=}"
+                for name, g, w in zip(("point_a", "point_b", "weight"), got, want):
+                    assert g.tobytes() == w.tobytes(), f"{name} differs: {context}"
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_empty_window_is_rejected(self, side):
+        points = shifted_points("uniform", 0.0)
+        sizes = {"a": np.array([3, 4]), "b": np.array([5, 2])}
+        sizes[side][1] = 0
+        with pytest.raises(InvalidParameterError):
+            bccp_windows(
+                points, np.arange(points.shape[0]), np.array([0, 10]),
+                sizes["a"], np.array([20, 30]), sizes["b"],
+                metric=resolve_metric("euclidean"),
+                backend=resolve_backend("numpy"),
+            )
+
+
+class TestClassChunkMemory:
+    """A class chunk scores in the thread's reusable workspace: once it is
+    warm, a chunk allocates less than one chunk-shaped float64 tensor."""
+
+    @pytest.mark.parametrize("metric", CONFORMANCE_METRICS)
+    @pytest.mark.parametrize("with_core", [False, True])
+    def test_warm_chunk_allocates_under_one_tensor(self, metric, with_core):
+        rng = np.random.default_rng(11)
+        points = rng.random((20_000, 2))
+        metric = resolve_metric(metric)
+        core = core_distances(points, 5, metric=metric) if with_core else None
+        # 300 pairs of one (32, 32) class: windows of the x-sorted points,
+        # the left ones against the right ones, sizes padding the class.
+        index = np.argsort(points[:, 0], kind="stable")
+        g = 300
+        size_a = rng.integers(17, 33, g)
+        size_b = rng.integers(17, 33, g)
+        size_a[0] = size_b[0] = 32
+        start_a = 32 * np.arange(g)
+        start_b = 32 * (np.arange(g) + g + 10)
+
+        def run():
+            return bccp_windows(
+                points, index, start_a, size_a, start_b, size_b, core,
+                metric=metric, backend=resolve_backend("numpy"), num_threads=1,
+            )
+
+        want = run()
+        tracemalloc.start()
+        try:
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for g_, w in zip(got, want):
+            assert g_.tobytes() == w.tobytes()
+        tensor = g * 32 * 32 * 8
+        assert peak < tensor, f"peak {peak / tensor:.2f} tensors"
 
 
 def one_get(cache, a, b):
