@@ -39,19 +39,18 @@ under adversarial floating-point behaviour of the separation predicate.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.core.metric import Metric, MetricLike
+from repro.core.metric import MetricLike
 from repro.core.points import as_points
 from repro.emst.memogfk import emst_memogfk
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
 from repro.mst.kruskal import kruskal_filtered_arrays
-from repro.parallel import pool as _pool
-from repro.parallel.pool import map_shards, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.parallel.unionfind import UnionFind
 from repro.spatial.flat import FlatKDTree
@@ -62,7 +61,7 @@ from repro.wspd.separation import (
     epsilon_certified_mask,
     node_representatives,
 )
-from repro.wspd.wspd import compute_wspd_ids
+from repro.wspd.wspd import compute_wspd_ids, evaluate_pair_mask
 
 #: Representative-edge strategies: ``sample`` records the ε-certified
 #: decomposition and keeps its representative edges; ``bccp`` records the
@@ -100,35 +99,6 @@ def resolve_approx_method(
     if method == "wspd-approx":
         kwargs["epsilon"] = epsilon
     return method, kwargs
-
-
-def sharded_edge_weights(
-    metric: Metric,
-    points: np.ndarray,
-    index_a: np.ndarray,
-    index_b: np.ndarray,
-    core_distances: Optional[np.ndarray] = None,
-    *,
-    num_threads: Optional[int] = None,
-) -> np.ndarray:
-    """``metric.exact_edge_weights`` sharded over the worker pool.
-
-    Fixed chunk boundaries, every shard fills its slice of one output array —
-    byte-identical to the single call at any thread count (the kernel is
-    purely elementwise over the index arrays).
-    """
-    m = int(index_a.size)
-    if resolve_num_threads(num_threads) == 1 or m < 2 * _pool.DEFAULT_CHUNK:
-        return metric.exact_edge_weights(points, index_a, index_b, core_distances)
-    out = np.empty(m, dtype=np.float64)
-
-    def shard(lo: int, hi: int) -> None:
-        out[lo:hi] = metric.exact_edge_weights(
-            points, index_a[lo:hi], index_b[lo:hi], core_distances
-        )
-
-    map_shards(shard, m, num_threads=num_threads)
-    return out
 
 
 def skeleton_edges(flat: FlatKDTree) -> Tuple[np.ndarray, np.ndarray]:
@@ -259,8 +229,8 @@ def approx_emst(
         reps = node_representatives(flat)
         pair_a, pair_b = compute_wspd_ids(
             tree,
-            predicate=lambda a, b: epsilon_certified_mask(
-                flat, a, b, 2.0, epsilon, reps
+            predicate=lambda a, b, gap: epsilon_certified_mask(
+                flat, a, b, gap, 2.0, epsilon, reps
             ),
             num_threads=num_threads,
         )
@@ -278,8 +248,12 @@ def approx_emst(
     else:
         cand_u, cand_v = representative_points(flat, pair_a, pair_b, reps)
         tracker.add(float(cand_u.size), 1.0, phase="bccp")
-        cand_w = sharded_edge_weights(
-            flat.metric, data, cand_u, cand_v, num_threads=num_threads
+        cand_w = evaluate_pair_mask(
+            partial(flat.metric.exact_edge_weights, data),
+            cand_u,
+            cand_v,
+            dtype=np.float64,
+            num_threads=num_threads,
         )
         distance_evaluations = int(cand_u.size)
         # Pairs the certificate rejected were recorded because they are
@@ -300,8 +274,12 @@ def approx_emst(
     # floating-point separation decisions go badly; its edges are true
     # distances, so they can only improve the tree.
     skel_u, skel_v = skeleton_edges(flat)
-    skel_w = sharded_edge_weights(
-        flat.metric, data, skel_u, skel_v, num_threads=num_threads
+    skel_w = evaluate_pair_mask(
+        partial(flat.metric.exact_edge_weights, data),
+        skel_u,
+        skel_v,
+        dtype=np.float64,
+        num_threads=num_threads,
     )
     distance_evaluations += int(skel_u.size)
     cand_u = np.concatenate([cand_u, skel_u])

@@ -27,16 +27,12 @@ mutual reachability distances with total weight in
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from repro.approx.emst import (
-    candidate_mst,
-    representative_points,
-    sharded_edge_weights,
-    skeleton_edges,
-)
+from repro.approx.emst import candidate_mst, representative_points, skeleton_edges
 from repro.core.errors import InvalidParameterError
 from repro.core.metric import MetricLike, resolve_metric
 from repro.core.points import as_points
@@ -55,7 +51,7 @@ from repro.wspd.separation import (
     node_representatives,
     well_separated_mask,
 )
-from repro.wspd.wspd import PairMask, compute_wspd_ids
+from repro.wspd.wspd import PairMask, compute_wspd_ids, evaluate_pair_mask
 
 
 def mr_bccp_lower_bounds(
@@ -91,7 +87,7 @@ def mutual_reachability_certificate(
     points = flat.points
     sizes = flat.node_sizes
 
-    def mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mask(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> np.ndarray:
         if representatives is not None:
             rep_a = representatives[a]
             rep_b = representatives[b]
@@ -106,7 +102,7 @@ def mutual_reachability_certificate(
             flat, a, b, d_rep
         )
         small = sizes[a] * sizes[b] <= SMALL_PAIR_CAP
-        return well_separated_mask(flat, a, b, s) & (certified | small)
+        return well_separated_mask(flat, a, b, gap, s) & (certified | small)
 
     return mask
 
@@ -184,8 +180,12 @@ def approx_hdbscan_mst(
     # One plain-distance sweep serves both the candidate weights (mutual
     # reachability is the plain distance maxed with the endpoint core
     # distances) and the certificate's lower bound.
-    plain = sharded_edge_weights(
-        resolved_metric, data, cand_u, cand_v, num_threads=num_threads
+    plain = evaluate_pair_mask(
+        partial(resolved_metric.exact_edge_weights, data),
+        cand_u,
+        cand_v,
+        dtype=np.float64,
+        num_threads=num_threads,
     )
     cand_w = np.maximum(
         plain, np.maximum(core_dists[cand_u], core_dists[cand_v])
@@ -205,8 +205,12 @@ def approx_hdbscan_mst(
         cand_w[refine] = ref_w
         distance_evaluations += cache.num_distance_evaluations
     skel_u, skel_v = skeleton_edges(flat)
-    skel_w = sharded_edge_weights(
-        resolved_metric, data, skel_u, skel_v, core_dists, num_threads=num_threads
+    skel_w = evaluate_pair_mask(
+        partial(resolved_metric.exact_edge_weights, data, core_distances=core_dists),
+        skel_u,
+        skel_v,
+        dtype=np.float64,
+        num_threads=num_threads,
     )
     distance_evaluations += int(skel_u.size)
     cand_u = np.concatenate([cand_u, skel_u])

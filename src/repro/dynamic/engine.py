@@ -101,7 +101,12 @@ from repro.serve.state import (
 from repro.spatial.kdtree import KDTree
 from repro.spatial.knn import knn
 from repro.wspd.separation import hdbscan_well_separated_mask
-from repro.wspd.wspd import compute_wspd_ids, frontier_step
+from repro.wspd.wspd import (
+    compute_wspd_ids,
+    frontier_gaps,
+    frontier_step,
+    separation_mask,
+)
 
 #: Attribute under which a state's repair support travels.
 SUPPORT_ATTR = "_dynamic"
@@ -665,10 +670,7 @@ def _resplit(
     flat, a: np.ndarray, b: np.ndarray, node_alive: np.ndarray, num_threads
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Re-split pairs that lost separation, skipping all-dead subtrees."""
-
-    def predicate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return hdbscan_well_separated_mask(flat, x, y)
-
+    predicate = separation_mask(flat, "hdbscan", 2.0)
     out_a = []
     out_b = []
     while a.size:
@@ -677,8 +679,9 @@ def _resplit(
         b = b[keep]
         if a.size == 0:
             break
+        gap = frontier_gaps(flat, a, b, num_threads)
         _, sep_a, sep_b, dup_a, dup_b, a, b = frontier_step(
-            flat, a, b, predicate, num_threads=num_threads
+            flat, a, b, gap, predicate, num_threads=num_threads
         )
         out_a.append(sep_a)
         out_a.append(dup_a)
@@ -856,7 +859,10 @@ def _repair_base_pairs(
     both_leaf = flat.is_leaf(pa) & flat.is_leaf(pb)
     test_idx = np.flatnonzero(flagged & ~both_leaf)
     if test_idx.size:
-        still = hdbscan_well_separated_mask(flat, pa[test_idx], pb[test_idx])
+        ta, tb = pa[test_idx], pb[test_idx]
+        still = hdbscan_well_separated_mask(
+            flat, ta, tb, frontier_gaps(flat, ta, tb, num_threads)
+        )
         split = test_idx[~still]
         new_a, new_b = _resplit(flat, pa[split], pb[split], node_alive, num_threads)
         test_idx = test_idx[still]

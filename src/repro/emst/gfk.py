@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,14 +38,13 @@ from repro.core.points import as_points
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
 from repro.mst.kruskal import kruskal_batch_arrays
-from repro.parallel.pool import map_shards
 from repro.parallel.scheduler import current_tracker
 from repro.parallel.unionfind import UnionFind
 from repro.spatial.flat import FlatKDTree
 from repro.spatial.kdtree import KDTree
 from repro.wspd.bccp import BCCPCache
 from repro.wspd.separation import node_distances
-from repro.wspd.wspd import compute_wspd_ids
+from repro.wspd.wspd import compute_wspd_ids, frontier_gaps
 
 
 def connectivity_snapshot(
@@ -77,25 +76,6 @@ def pairs_fully_connected(
     )
 
 
-def sharded_min(
-    values_of: "Callable[[int, int], np.ndarray]",
-    n: int,
-    *,
-    num_threads: Optional[int] = None,
-) -> float:
-    """Minimum of a chunk-computable value array, reduced in shard order.
-
-    ``values_of(lo, hi)`` returns the values of span ``[lo, hi)``; each shard
-    is reduced to its own minimum on the worker pool and the shard minima are
-    folded left-to-right.  ``min`` is exact for floats, so the result equals
-    the single-pass ``values.min()`` bit for bit at any thread count.
-    """
-    partial = map_shards(
-        lambda lo, hi: float(values_of(lo, hi).min()), n, num_threads=num_threads
-    )
-    return min(partial)
-
-
 def emst_gfk(
     points,
     *,
@@ -115,12 +95,13 @@ def emst_gfk(
         the sequential Chatterjee et al. schedule (used by the beta ablation
         benchmark).
     num_threads:
-        Number of worker threads for the batched stages: the WSPD separation
-        tests, each round's BCCP size-class kernel, the ``rho_hi`` reduction
-        and the Kruskal weight sort all shard onto the persistent worker pool
-        (:mod:`repro.parallel.pool`).  Sharding uses fixed chunk boundaries
-        and shard-ordered reductions, so the MST is byte-identical at any
-        thread count; ``None``/``0``/``1`` run inline.
+        Number of worker threads for the batched stages: the WSPD center-gap
+        and separation sweeps, each round's BCCP size-class kernel, the
+        center gaps behind ``rho_hi`` and the Kruskal weight sort all shard
+        onto the persistent worker pool (:mod:`repro.parallel.pool`).
+        Sharding uses fixed chunk boundaries and shard-ordered reductions, so
+        the MST is byte-identical at any thread count; ``None``/``0``/``1``
+        run inline.
     metric:
         Distance metric (name, Metric instance, or ``None`` for Euclidean);
         it rides the kd-tree into every separation mask and BCCP kernel.
@@ -165,11 +146,8 @@ def emst_gfk(
             )
             exp_a, exp_b = pair_a[~cheap], pair_b[~cheap]
             if exp_a.size:
-                rho_hi = sharded_min(
-                    lambda lo, hi: node_distances(flat, exp_a[lo:hi], exp_b[lo:hi]),
-                    int(exp_a.size),
-                    num_threads=num_threads,
-                )
+                gap = frontier_gaps(flat, exp_a, exp_b, num_threads)
+                rho_hi = float(node_distances(flat, exp_a, exp_b, gap).min())
                 tracker.add(float(exp_a.size), math.log2(exp_a.size + 1), phase="gfk-split")
             else:
                 rho_hi = math.inf

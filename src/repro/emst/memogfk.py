@@ -15,9 +15,12 @@ Both traversals run frontier-at-a-time over the flat array engine: a round
 holds every pending (A, B) pair as two node-id arrays and applies all pruning
 tests — the cardinality cut, the ρ-window bounds, the connectivity filter and
 the separation predicate — as vectorized masks over the whole frontier.
-Connectivity is snapshotted once per round (a union-find root sweep folded
-into per-node component ranges), which is sound because the union-find only
-changes in the Kruskal step between traversals.
+The ρ-window bounds and the predicate are all expressions of one quantity,
+the distance between the two nodes' bounding-sphere centers, which each
+round computes once per pair and carries through the filters beside the
+node ids.  Connectivity is snapshotted once per round (a union-find root
+sweep folded into per-node component ranges), which is sound because the
+union-find only changes in the Kruskal step between traversals.
 
 GETPAIRS collects the surviving node pairs during the traversal and submits
 the whole round to the batched BCCP kernel through the array-backed cache in
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,77 +46,31 @@ from repro.emst.gfk import pairs_fully_connected
 from repro.emst.result import EMSTResult
 from repro.mst.edges import EdgeList
 from repro.mst.kruskal import kruskal_batch_arrays
-from repro.parallel.pool import map_shards, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.parallel.unionfind import UnionFind
 from repro.spatial.flat import FlatKDTree
 from repro.spatial.kdtree import KDTree
 from repro.wspd.bccp import BCCPCache
 from repro.wspd.separation import node_distances, node_max_distances
-from repro.wspd.wspd import PairMask, frontier_step, pair_chunk_size, separation_mask
-
-BoundMask = Callable[[np.ndarray, np.ndarray], np.ndarray]
+from repro.wspd.wspd import PairMask, frontier_gaps, frontier_step, separation_mask
 
 
-def _sharded_bound(
-    bound: BoundMask,
-    a: np.ndarray,
-    b: np.ndarray,
-    num_threads: Optional[int],
+def _bounded_by_cd(
+    bound: np.ndarray, cd: Optional[np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Evaluate an elementwise pair bound, sharded on the worker pool.
-
-    Same determinism contract as :func:`repro.wspd.wspd.evaluate_pair_mask`:
-    fixed chunk boundaries (the shared :func:`repro.wspd.wspd.pair_chunk_size`
-    — ``DEFAULT_CHUNK`` unbudgeted, the budget's tile share otherwise), every
-    shard fills its slice of one output array, byte-identical to
-    ``bound(a, b)`` at any thread count.
-    """
-    m = int(a.size)
-    chunk = pair_chunk_size(num_threads)
-    if resolve_num_threads(num_threads) == 1 or m < 2 * chunk:
-        return bound(a, b)
-    out = np.empty(m, dtype=np.float64)
-
-    def shard(lo: int, hi: int) -> None:
-        out[lo:hi] = bound(a[lo:hi], b[lo:hi])
-
-    map_shards(shard, m, num_threads=num_threads, chunk_size=chunk)
-    return out
-
-
-def _geometric_bounds(flat: FlatKDTree) -> Tuple[BoundMask, BoundMask]:
-    """Lower/upper bounds on the BCCP of node-pair arrays (plain distances).
-
-    The bounds come from the node bounding spheres stored under the tree's
-    metric, so they are valid for every norm-induced metric.
-    """
-    return (
-        lambda a, b: node_distances(flat, a, b),
-        lambda a, b: node_max_distances(flat, a, b),
-    )
-
-
-def _mutual_reachability_bounds(flat: FlatKDTree) -> Tuple[BoundMask, BoundMask]:
-    """Lower/upper bounds on the BCCP* of node-pair arrays.
+    """A sphere bound on the BCCP of node pairs, lifted to BCCP* when ``cd``
+    (per-node core-distance extrema) is given.
 
     The mutual reachability distance of any pair of points drawn from nodes
     ``A`` and ``B`` is at least ``max(d(A, B), cd_min(A), cd_min(B))`` and at
     most ``max(d_max(A, B), cd_max(A), cd_max(B))``; the geometric bounds
-    alone would under/over-estimate it and break the window pruning.
+    alone would under/over-estimate it and break the window pruning.  Both
+    come from the node bounding spheres stored under the tree's metric, so
+    they are valid for every norm-induced metric.
     """
-
-    def lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.maximum(
-            node_distances(flat, a, b), np.maximum(flat.cd_min[a], flat.cd_min[b])
-        )
-
-    def upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.maximum(
-            node_max_distances(flat, a, b), np.maximum(flat.cd_max[a], flat.cd_max[b])
-        )
-
-    return lower, upper
+    if cd is None:
+        return bound
+    return np.maximum(bound, np.maximum(cd[a], cd[b]))
 
 
 def _seed_pairs(
@@ -158,7 +115,7 @@ def _get_rho(
     root_min: np.ndarray,
     root_max: np.ndarray,
     predicate: PairMask,
-    lower_bound: BoundMask,
+    cd_min: Optional[np.ndarray],
     num_threads: Optional[int] = None,
 ) -> float:
     """GETRHO: lower bound on edges produced by pairs with cardinality > beta.
@@ -168,7 +125,8 @@ def _get_rho(
     pairs that are already fully connected, and pairs whose bounding-sphere
     lower bound already exceeds the best bound found so far (the running
     minimum tightens between frontier rounds, exactly like the sequential
-    WRITE_MIN cell).
+    WRITE_MIN cell).  Each round computes its frontier's center gaps once;
+    the lower bound and the separation predicate both read them.
     """
     tracker = current_tracker()
     sizes = flat.node_sizes
@@ -180,18 +138,19 @@ def _get_rho(
         a, b = a[keep], b[keep]
         if a.size == 0:
             break
-        lower = _sharded_bound(lower_bound, a, b, num_threads)
+        gap = frontier_gaps(flat, a, b, num_threads)
+        lower = _bounded_by_cd(node_distances(flat, a, b, gap), cd_min, a, b)
         keep = lower < rho
-        a, b, lower = a[keep], b[keep], lower[keep]
+        a, b, gap, lower = a[keep], b[keep], gap[keep], lower[keep]
         if a.size == 0:
             break
         keep = ~pairs_fully_connected(root_min, root_max, a, b)
-        a, b, lower = a[keep], b[keep], lower[keep]
+        a, b, gap, lower = a[keep], b[keep], gap[keep], lower[keep]
         if a.size == 0:
             break
         # Both-leaf duplicate pairs carry no rho, so their batch is ignored.
         separated, _, _, _, _, a, b = frontier_step(
-            flat, a, b, predicate, num_threads=num_threads
+            flat, a, b, gap, predicate, num_threads=num_threads
         )
         if separated.any():
             rho = min(rho, float(lower[separated].min()))
@@ -207,8 +166,8 @@ def _get_pairs(
     root_max: np.ndarray,
     predicate: PairMask,
     cache: BCCPCache,
-    lower_bound: BoundMask,
-    upper_bound: BoundMask,
+    cd_min: Optional[np.ndarray],
+    cd_max: Optional[np.ndarray],
     num_threads: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GETPAIRS: edges of the not-yet-connected pairs with BCCP in the window.
@@ -216,12 +175,15 @@ def _get_pairs(
     Only the pairs whose BCCP weight lies in ``[rho_lo, rho_hi)`` are
     materialized (as point-index edge arrays); everything else is pruned using
     the bounding-sphere lower/upper bounds of Figure 3, evaluated for the
-    whole frontier per round.  The traversal itself only *collects* the
-    surviving node pairs; the round's entire collection is then submitted to
-    the batched BCCP kernel with one :meth:`BCCPCache.get_batch` call and the
-    window test is applied as a single mask.  ``point_roots`` is the per-point
-    union-find snapshot of this round (the union-find only changes in the
-    Kruskal step, so it is exact throughout the traversal).
+    whole frontier per round from its center gaps (computed once per round,
+    and read by the separation predicate too).  ``cd_min`` / ``cd_max`` lift
+    the bounds to BCCP* (``None`` for plain distances).  The traversal
+    itself only *collects* the surviving node pairs; the round's entire
+    collection is then submitted to the batched BCCP kernel with one
+    :meth:`BCCPCache.get_batch` call and the window test is applied as a
+    single mask.  ``point_roots`` is the per-point union-find snapshot of
+    this round (the union-find only changes in the Kruskal step, so it is
+    exact throughout the traversal).
 
     The window tests are guarded against floating-point disagreement between
     the sphere-based bounds and the vectorized BCCP kernel: the upper-bound
@@ -239,20 +201,22 @@ def _get_pairs(
     a, b = _seed_pairs(flat, root_min, root_max, 0)
     while a.size:
         tracker.add(float(a.size), 0, phase="wspd")
-        keep = _sharded_bound(lower_bound, a, b, num_threads) < rho_hi
-        a, b = a[keep], b[keep]
+        gap = frontier_gaps(flat, a, b, num_threads)
+        keep = _bounded_by_cd(node_distances(flat, a, b, gap), cd_min, a, b) < rho_hi
+        a, b, gap = a[keep], b[keep], gap[keep]
         if a.size == 0:
             break
-        keep = _sharded_bound(upper_bound, a, b, num_threads) >= rho_lo_slack
-        a, b = a[keep], b[keep]
+        upper = _bounded_by_cd(node_max_distances(flat, a, b, gap), cd_max, a, b)
+        keep = upper >= rho_lo_slack
+        a, b, gap = a[keep], b[keep], gap[keep]
         if a.size == 0:
             break
         keep = ~pairs_fully_connected(root_min, root_max, a, b)
-        a, b = a[keep], b[keep]
+        a, b, gap = a[keep], b[keep], gap[keep]
         if a.size == 0:
             break
         _, sep_a, sep_b, dup_a, dup_b, a, b = frontier_step(
-            flat, a, b, predicate, num_threads=num_threads
+            flat, a, b, gap, predicate, num_threads=num_threads
         )
         if sep_a.size:
             collected_a.append(sep_a)
@@ -336,11 +300,11 @@ def memogfk_mst(
     initial_beta:
         Starting batch-cardinality threshold (the paper uses 2).
     num_threads:
-        Worker threads for the batched stages: the GETRHO/GETPAIRS bound and
-        separation sweeps, each round's BCCP(*) size-class kernel and the
-        Kruskal weight sort all shard onto the persistent worker pool with
-        fixed chunk boundaries, so the MST is byte-identical at any thread
-        count; ``None``/``0``/``1`` run inline.
+        Worker threads for the batched stages: the GETRHO/GETPAIRS
+        center-gap and separation sweeps, each round's BCCP(*) size-class
+        kernel and the Kruskal weight sort all shard onto the persistent
+        worker pool with fixed chunk boundaries, so the MST is
+        byte-identical at any thread count; ``None``/``0``/``1`` run inline.
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.CheckpointManager`.
         When given, the loop commits its complete live state — the accepted
@@ -370,12 +334,11 @@ def memogfk_mst(
     cache = BCCPCache(tree, core_distances=core_distances, num_threads=num_threads)
     union_find = UnionFind(n)
     output = EdgeList()
-    if core_distances is None:
-        lower_bound, upper_bound = _geometric_bounds(flat)
-    else:
+    cd_min = cd_max = None
+    if core_distances is not None:
         if not tree.has_core_distances:
             tree.annotate_core_distances(np.asarray(core_distances, dtype=np.float64))
-        lower_bound, upper_bound = _mutual_reachability_bounds(flat)
+        cd_min, cd_max = flat.cd_min, flat.cd_max
     predicate = separation_mask(flat, separation, s)
 
     beta = initial_beta
@@ -414,7 +377,7 @@ def memogfk_mst(
             point_roots = union_find.roots()
             root_min, root_max = flat.node_value_ranges(point_roots)
             rho_hi = _get_rho(
-                flat, beta, root_min, root_max, predicate, lower_bound, num_threads
+                flat, beta, root_min, root_max, predicate, cd_min, num_threads
             )
             batch_u, batch_v, batch_w = _get_pairs(
                 tree,
@@ -425,8 +388,8 @@ def memogfk_mst(
                 root_max,
                 predicate,
                 cache,
-                lower_bound,
-                upper_bound,
+                cd_min,
+                cd_max,
                 num_threads,
             )
             max_materialized = max(max_materialized, int(batch_u.size))

@@ -6,15 +6,16 @@ of sequential dependencies; Brent's theorem turns a ``(W, D)`` pair into a
 running-time bound ``W/p + D`` on ``p`` processors.
 
 CPython's GIL prevents a faithful shared-memory implementation, so this
-subpackage provides two things instead (see DESIGN.md, "Parallelism model"):
+subpackage provides the model and the real execution engine side by side:
 
 * :class:`~repro.parallel.scheduler.WorkDepthTracker` — algorithms report the
-  work and depth they incur, and the tracker converts those into simulated
-  running times for any processor count via Brent's bound.
-* Sequentially-executed versions of the primitives the paper relies on
-  (prefix sum, filter, split, WRITE_MIN, union-find) that charge the textbook
-  work/depth costs to the active tracker, so the simulated speedups reflect
-  the algorithms actually implemented.
+  work and depth they incur at their own charge sites (frontier rounds,
+  BCCP size classes, Kruskal batches, dendrogram levels), and the tracker
+  converts those into simulated running times for any processor count via
+  Brent's bound.
+* :class:`~repro.parallel.unionfind.UnionFind` and the vectorized array
+  primitives of :mod:`~repro.parallel.primitives` (segmented iota, pointer
+  jumping) that the engine's batched passes are built from.
 
 :mod:`~repro.parallel.pool` provides the *real* multicore execution engine: a
 persistent :class:`~repro.parallel.pool.WorkerPool` of daemon threads (NumPy
@@ -31,15 +32,6 @@ from repro.parallel.scheduler import (
     current_tracker,
     simulated_time,
     simulated_speedups,
-)
-from repro.parallel.primitives import (
-    prefix_sum,
-    parallel_filter,
-    parallel_split,
-    write_min,
-    WriteMinCell,
-    parallel_max_index,
-    parallel_min_index,
 )
 from repro.parallel.unionfind import UnionFind
 from repro.parallel.pool import (
@@ -58,13 +50,6 @@ __all__ = [
     "current_tracker",
     "simulated_time",
     "simulated_speedups",
-    "prefix_sum",
-    "parallel_filter",
-    "parallel_split",
-    "write_min",
-    "WriteMinCell",
-    "parallel_max_index",
-    "parallel_min_index",
     "UnionFind",
     "WorkerPool",
     "Workspace",

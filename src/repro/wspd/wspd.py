@@ -7,10 +7,11 @@ the larger bounding sphere and recurses on both halves.
 
 The walk is executed *frontier-at-a-time* over the flat array engine: every
 round holds the whole set of pending (A, B) pairs as two node-id arrays,
-evaluates the separation predicate for all of them with one vectorized mask,
-records the separated pairs, and expands the rest — the same visits the
-paper's parallel recursion performs, charged identically to the work–depth
-tracker, but with NumPy array operations in place of per-node Python calls.
+computes their center gaps with one sharded call, evaluates the separation
+predicate on them with one vectorized mask, records the separated pairs, and
+expands the rest — the same visits the paper's parallel recursion performs,
+charged identically to the work–depth tracker, but with NumPy array
+operations in place of per-node Python calls.
 
 Two separation criteria are supported via ``separation``:
 
@@ -33,6 +34,7 @@ from repro.parallel.pool import map_shards, resolve_num_threads
 from repro.parallel.scheduler import current_tracker
 from repro.spatial.flat import FlatKDTree
 from repro.spatial.kdtree import KDTree
+from repro.wspd import separation as _separation
 from repro.wspd.separation import (
     epsilon_certified_mask,
     hdbscan_well_separated_mask,
@@ -40,7 +42,9 @@ from repro.wspd.separation import (
 )
 
 
-PairMask = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: A separation predicate over a frontier: node-id arrays ``a``, ``b`` and
+#: their center gaps (:func:`frontier_gaps`) in, one boolean per pair out.
+PairMask = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def separation_mask(
@@ -55,40 +59,42 @@ def separation_mask(
     :func:`repro.approx.emst.approx_emst`.
     """
     if separation == "geometric":
-        return lambda a, b: well_separated_mask(flat, a, b, s)
+        return lambda a, b, gap: well_separated_mask(flat, a, b, gap, s)
     if separation == "hdbscan":
         if flat.cd_min is None:
             raise NotComputedError(
                 "hdbscan separation requires annotate_core_distances() on the tree"
             )
-        return lambda a, b: hdbscan_well_separated_mask(flat, a, b)
+        return lambda a, b, gap: hdbscan_well_separated_mask(flat, a, b, gap)
     if separation == "epsilon-certified":
         if epsilon is None:
             raise InvalidParameterError(
                 "epsilon-certified separation requires an epsilon value"
             )
-        return lambda a, b: epsilon_certified_mask(flat, a, b, s, epsilon)
+        return lambda a, b, gap: epsilon_certified_mask(flat, a, b, gap, s, epsilon)
     raise InvalidParameterError(
         "separation must be 'geometric', 'hdbscan' or 'epsilon-certified', "
         f"got {separation!r}"
     )
 
 
-#: Live bytes per frontier pair inside one predicate/bound shard: the two
-#: int64 id slices, the boolean (or float64) output slice, and the gathered
-#: per-node geometry temporaries (centers, radii, extents) the separation
-#: predicates materialize.
+#: Live bytes per frontier pair inside one elementwise pair shard: the
+#: int64 id (or point-index) slices, the output slice, and the gathered
+#: per-node geometry temporaries (centers, radii, extents) the gap and
+#: separation kernels materialize.
 _PAIR_SHARD_BYTES_PER_ROW = 128
 
 
 def pair_chunk_size(num_threads: Optional[int] = None) -> int:
-    """Pairs per frontier shard (``DEFAULT_CHUNK`` when unbudgeted).
+    """Pairs per elementwise pair shard (``DEFAULT_CHUNK`` when unbudgeted).
 
-    Shared by the WSPD separation sweeps and the MemoGFK bound sweeps: the
-    unbudgeted size is ``repro.parallel.pool.DEFAULT_CHUNK`` (read at call
-    time, so tests can lower it); a bounded ambient memory budget derives the
-    shard from its tile share instead.  The sharded kernels are elementwise,
-    so every chunk size yields byte-identical results.
+    Shared by every :func:`evaluate_pair_mask` call — the center-gap sweeps,
+    the separation predicates and the approximate pipelines' edge-weight
+    sweeps: the unbudgeted size is ``repro.parallel.pool.DEFAULT_CHUNK``
+    (read at call time, so tests can lower it); a bounded ambient memory
+    budget derives the shard from its tile share instead.  The sharded
+    kernels are elementwise, so every chunk size yields byte-identical
+    results.
     """
     budget = current_context().memory_budget
     return budget.tile_rows(
@@ -101,41 +107,59 @@ def pair_chunk_size(num_threads: Optional[int] = None) -> int:
 
 
 def evaluate_pair_mask(
-    predicate: PairMask,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
+    kernel: Callable[..., np.ndarray],
+    *columns: np.ndarray,
+    dtype=bool,
     num_threads: Optional[int] = None,
-    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
-    """Evaluate an elementwise pair predicate, sharded on the worker pool.
+    """Evaluate an elementwise pair kernel, sharded on the worker pool.
 
-    The frontier is cut at fixed chunk boundaries (independent of the thread
-    count; defaulting to ``repro.parallel.pool.DEFAULT_CHUNK``, read at call
-    time, scaled down under a bounded ambient memory budget) and every shard
-    writes its slice of one output mask, so the result is byte-identical to
-    ``predicate(a, b)`` at any ``num_threads`` — the predicates are purely
-    elementwise over the pair arrays, so *any* chunk size returns the same
-    mask.
+    ``kernel(*columns)`` must return one ``dtype`` value per row of the
+    parallel ``columns`` (node ids, point indices, gaps), each depending only
+    on its own row.  The rows are cut at fixed :func:`pair_chunk_size`
+    boundaries (independent of the thread count) and every shard writes its
+    slice of one output array, so the result is byte-identical to
+    ``kernel(*columns)`` at any ``num_threads`` and any chunk size.
     """
-    if chunk_size is None:
-        chunk_size = pair_chunk_size(num_threads)
-    m = int(a.size)
+    chunk_size = pair_chunk_size(num_threads)
+    m = int(columns[0].size)
     if resolve_num_threads(num_threads) == 1 or m < 2 * chunk_size:
-        return predicate(a, b)
-    out = np.empty(m, dtype=bool)
+        return kernel(*columns)
+    out = np.empty(m, dtype=dtype)
 
     def shard(lo: int, hi: int) -> None:
-        out[lo:hi] = predicate(a[lo:hi], b[lo:hi])
+        out[lo:hi] = kernel(*(column[lo:hi] for column in columns))
 
     map_shards(shard, m, num_threads=num_threads, chunk_size=chunk_size)
     return out
+
+
+def frontier_gaps(
+    flat: FlatKDTree,
+    a: np.ndarray,
+    b: np.ndarray,
+    num_threads: Optional[int] = None,
+) -> np.ndarray:
+    """Center gap of every frontier pair, by one sharded call.
+
+    The one geometric input of a traversal step: the window bounds and the
+    separation predicate of the step all read this array.  Looked up on the
+    separation module at call time, so a test can count the evaluations.
+    """
+    return evaluate_pair_mask(
+        lambda x, y: _separation.center_gaps(flat, x, y),
+        a,
+        b,
+        dtype=np.float64,
+        num_threads=num_threads,
+    )
 
 
 def frontier_step(
     flat: FlatKDTree,
     a: np.ndarray,
     b: np.ndarray,
+    gap: np.ndarray,
     predicate: PairMask,
     *,
     num_threads: Optional[int] = None,
@@ -143,26 +167,28 @@ def frontier_step(
     """One FIND_PAIR round over a frontier of pending node pairs.
 
     Orients every pair so the node with the larger bounding sphere comes
-    first, evaluates the separation ``predicate`` for the whole frontier
-    (sharded over the worker pool when ``num_threads > 1``; the select and
-    expansion steps stay whole-frontier, so the outputs are identical at any
-    thread count), and splits it three ways: the separated pairs, the
-    both-leaf pairs (duplicate points — unsplittable yet not separated), and
-    the expansion of everything else (larger node replaced by its two
-    children).  This is the single traversal kernel shared by the WSPD
-    construction and the MemoGFK GETRHO / GETPAIRS sweeps, which keeps the
-    three in floating-point lockstep.
+    first, evaluates the separation ``predicate`` for the whole frontier on
+    its center gaps ``gap`` (:func:`frontier_gaps`; symmetric, so the
+    orientation swap leaves it valid), sharded over the worker pool when
+    ``num_threads > 1`` — the select and expansion steps stay whole-frontier,
+    so the outputs are identical at any thread count — and splits it three
+    ways: the separated pairs, the both-leaf pairs (duplicate points —
+    unsplittable yet not separated), and the expansion of everything else
+    (larger node replaced by its two children).  This is the single
+    traversal kernel shared by the WSPD construction, the MemoGFK GETRHO /
+    GETPAIRS sweeps and the dynamic engine's re-splits, which keeps them in
+    floating-point lockstep.
 
     Returns ``(separated, sep_a, sep_b, dup_a, dup_b, next_a, next_b)``.
     ``separated`` is a mask over the *input* frontier order (preserved by the
-    orientation swap), so symmetric per-pair values computed before the call
-    — e.g. the ρ lower bounds — can be gathered with it.
+    orientation swap), so per-pair values computed before the call — e.g.
+    the ρ lower bounds — can be gathered with it.
     """
     left_child = flat.left_child
     right_child = flat.right_child
     swap = flat.node_radius[a] < flat.node_radius[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
-    separated = evaluate_pair_mask(predicate, a, b, num_threads=num_threads)
+    separated = evaluate_pair_mask(predicate, a, b, gap, num_threads=num_threads)
     sep_a, sep_b = a[separated], b[separated]
     a, b = a[~separated], b[~separated]
     # Split the node with the larger bounding sphere.  A leaf cannot be
@@ -200,14 +226,15 @@ def iterate_wspd_ids(
     Each yielded ``(a_ids, b_ids)`` batch holds the pairs recorded during one
     frontier round; concatenating all batches gives the full decomposition.
     This is the array-native core that :func:`compute_wspd_ids`,
-    :func:`count_wspd_pairs` and the GFK driver all share.  ``num_threads``
-    shards each round's separation test over the worker pool; the yielded
-    batches are byte-identical at any setting.  ``epsilon`` parameterizes the
-    ``"epsilon-certified"`` separation; ``predicate`` overrides the named
-    separation with a custom pair mask (the approximate HDBSCAN* pipeline
-    supplies its mutual-reachability certificate this way) — coverage is
-    guaranteed for any predicate because unsplittable pairs are always
-    recorded.
+    :func:`count_wspd_pairs` and the GFK driver all share.  Each round
+    computes its frontier's center gaps once (:func:`frontier_gaps`) and
+    evaluates the separation test on them; ``num_threads`` shards both over
+    the worker pool, and the yielded batches are byte-identical at any
+    setting.  ``epsilon`` parameterizes the ``"epsilon-certified"``
+    separation; ``predicate`` overrides the named separation with a custom
+    :data:`PairMask` (the approximate HDBSCAN* pipeline supplies its
+    mutual-reachability certificate this way) — coverage is guaranteed for
+    any predicate because unsplittable pairs are always recorded.
     """
     if predicate is None:
         predicate = separation_mask(flat, separation, s, epsilon)
@@ -230,8 +257,9 @@ def iterate_wspd_ids(
     b = flat.right_child[internal]
     while a.size:
         tracker.add(float(a.size), 0, phase="wspd")
+        gap = frontier_gaps(flat, a, b, num_threads)
         _, sep_a, sep_b, dup_a, dup_b, a, b = frontier_step(
-            flat, a, b, predicate, num_threads=num_threads
+            flat, a, b, gap, predicate, num_threads=num_threads
         )
         if sep_a.size:
             yield sep_a, sep_b

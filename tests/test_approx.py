@@ -15,7 +15,9 @@ import pytest
 
 from repro.approx import approx_emst, approx_hdbscan_mst
 from repro.approx.emst import candidate_mst, skeleton_edges
+from repro.core.context import use_context
 from repro.core.errors import InvalidParameterError
+from repro.core.metric import EuclideanMetric
 from repro.emst import emst
 from repro.estimators import EMST, HDBSCAN
 from repro.hdbscan import adjusted_rand_index, hdbscan
@@ -26,11 +28,12 @@ from repro.spatial.kdtree import KDTree
 from repro.wspd.separation import (
     bccp_lower_bounds,
     box_gaps,
+    center_gaps,
     epsilon_certified_mask,
     node_representatives,
     representative_distances,
 )
-from repro.wspd.wspd import compute_wspd_ids, separation_mask
+from repro.wspd.wspd import compute_wspd_ids, pair_chunk_size, separation_mask
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +75,11 @@ class TestCertifiedSeparation:
         b = leaves[leaves.size - a.size :]
         keep = a != b
         a, b = a[keep], b[keep]
-        mask = epsilon_certified_mask(flat, a, b, 2.0, 1e-12)
+        gap = center_gaps(flat, a, b)
+        mask = epsilon_certified_mask(flat, a, b, gap, 2.0, 1e-12)
         # Singleton pairs are separated iff classically separated; the
         # certificate itself can never reject them (rep == BCCP).
-        geometric = separation_mask(flat, "geometric", 2.0)(a, b)
+        geometric = separation_mask(flat, "geometric", 2.0)(a, b, gap)
         assert np.array_equal(mask, geometric)
 
     def test_smaller_epsilon_gives_no_fewer_pairs(self, tree):
@@ -120,6 +124,36 @@ class TestSkeleton:
         for a, b in zip(u.tolist(), v.tolist()):
             union_find.union(a, b)
         assert union_find.num_components == 1
+
+
+class TestEdgeWeightShards:
+    @pytest.mark.parametrize("pipeline", ["emst", "hdbscan"])
+    def test_shards_follow_the_memory_budget(self, monkeypatch, pipeline):
+        # The skeleton's weight sweep is cut at the ambient budget's pair
+        # shard size, like every other elementwise pair sweep.
+        points = np.random.default_rng(4).random((1500, 2))
+        calls = []
+        original = EuclideanMetric.exact_edge_weights
+
+        def recording(self, points, index_a, index_b, core_distances=None):
+            calls.append((np.array(index_a), np.array(index_b)))
+            return original(self, points, index_a, index_b, core_distances)
+
+        monkeypatch.setattr(EuclideanMetric, "exact_edge_weights", recording)
+        with use_context(memory_budget=1):
+            chunk = pair_chunk_size(2)
+            if pipeline == "emst":
+                approx_emst(points, 0.5, num_threads=2)
+            else:
+                approx_hdbscan_mst(points, 5, epsilon=0.5, num_threads=2)
+        skel_u, skel_v = skeleton_edges(KDTree(points).flat)
+        assert skel_u.size >= 2 * chunk
+        for lo in range(0, skel_u.size, chunk):
+            shard_u, shard_v = skel_u[lo : lo + chunk], skel_v[lo : lo + chunk]
+            assert any(
+                np.array_equal(u, shard_u) and np.array_equal(v, shard_v)
+                for u, v in calls
+            ), f"no shard of {chunk} rows at skeleton row {lo}"
 
 
 class TestFilteredKruskal:

@@ -14,6 +14,7 @@ from repro.core.distance import cross_distances
 from repro.spatial import FlatKDTree
 from repro.wspd.separation import (
     box_gaps,
+    center_gaps,
     node_distances,
     node_max_distances,
     well_separated_mask,
@@ -23,6 +24,13 @@ from repro.wspd.separation import (
 def one(kernel, flat, a, b, *args):
     """A frontier kernel evaluated on the single node pair ``(a, b)``."""
     return kernel(flat, np.array([a]), np.array([b]), *args)[0]
+
+
+def one_gap(kernel, flat, a, b, *args):
+    """A gap-reading frontier kernel on the single node pair ``(a, b)``, given
+    the pair's center gap as the traversals pass it."""
+    a, b = np.array([a]), np.array([b])
+    return kernel(flat, a, b, center_gaps(flat, a, b), *args)[0]
 
 
 def sibling_nodes(*groups):
@@ -96,7 +104,7 @@ class TestBoundingBox:
         points_a = rng.random((30, 3))
         points_b = rng.random((30, 3)) + 2.0
         flat, a, b = sibling_nodes(points_a, points_b)
-        bound = one(node_max_distances, flat, a, b)
+        bound = one_gap(node_max_distances, flat, a, b)
         assert cross_distances(points_a, points_b).max() <= bound + 1e-9
 
     def test_min_distance_to_point(self):
@@ -129,41 +137,41 @@ class TestBoundingSphere:
     def test_distance_between_disjoint_spheres(self):
         # Radius 1 around 0 and radius 2 around 10.
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(8.0, 12.0))
-        assert one(node_distances, flat, a, b) == pytest.approx(7.0)
+        assert one_gap(node_distances, flat, a, b) == pytest.approx(7.0)
 
     def test_distance_intersecting_spheres_is_zero(self):
         flat = FlatKDTree(np.random.default_rng(3).random((30, 2)), leaf_size=4)
-        assert one(node_distances, flat, 0, int(flat.right_child[0])) == 0.0
+        assert one_gap(node_distances, flat, 0, int(flat.right_child[0])) == 0.0
 
     def test_max_distance(self):
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(8.0, 12.0))
-        assert one(node_max_distances, flat, a, b) == pytest.approx(13.0)
+        assert one_gap(node_max_distances, flat, a, b) == pytest.approx(13.0)
 
     def test_distance_lower_bounds_point_distances(self):
         rng = np.random.default_rng(2)
         points_a = rng.random((20, 3))
         points_b = rng.random((20, 3)) + 5.0
         flat, a, b = sibling_nodes(points_a, points_b)
-        lower = one(node_distances, flat, a, b)
+        lower = one_gap(node_distances, flat, a, b)
         assert lower <= cross_distances(points_a, points_b).min() + 1e-9
 
     def test_well_separated_far_spheres(self):
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(99.0, 101.0))
-        assert one(well_separated_mask, flat, a, b, 2.0)
+        assert one_gap(well_separated_mask, flat, a, b, 2.0)
 
     def test_not_well_separated_close_spheres(self):
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(2.0, 4.0))
-        assert not one(well_separated_mask, flat, a, b, 2.0)
+        assert not one_gap(well_separated_mask, flat, a, b, 2.0)
 
     def test_well_separation_threshold(self):
         # gap = center_gap - 2r must be >= s*r; with r=1, s=2 the threshold
         # center gap is exactly 4.
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(3.0, 5.0))
-        assert one(well_separated_mask, flat, a, b, 2.0)
+        assert one_gap(well_separated_mask, flat, a, b, 2.0)
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(2.999, 4.999))
-        assert not one(well_separated_mask, flat, a, b, 2.0)
+        assert not one_gap(well_separated_mask, flat, a, b, 2.0)
 
     def test_higher_separation_constant_is_stricter(self):
         flat, a, b = sibling_nodes(on_axis(-1.0, 1.0), on_axis(4.0, 6.0))
-        assert one(well_separated_mask, flat, a, b, 2.0)
-        assert not one(well_separated_mask, flat, a, b, 8.0)
+        assert one_gap(well_separated_mask, flat, a, b, 2.0)
+        assert not one_gap(well_separated_mask, flat, a, b, 8.0)

@@ -11,6 +11,7 @@ from repro.parallel.unionfind import UnionFind
 from repro.spatial import FlatKDTree, KDTree, knn
 from repro.spatial.knn import knn_bruteforce
 from repro.wspd import compute_wspd_ids, well_separated_mask
+from repro.wspd.separation import center_gaps
 
 F32_SETS_PATH = Path(__file__).parent / "data" / "knn_f32_neighbour_sets.npz"
 
@@ -57,7 +58,9 @@ def recursive_wspd(flat, s=2.0):
     def find_pair(a, b):
         if flat.node_radius[a] < flat.node_radius[b]:
             a, b = b, a
-        if well_separated_mask(flat, np.array([a]), np.array([b]), s)[0]:
+        pair_a, pair_b = np.array([a]), np.array([b])
+        gap = center_gaps(flat, pair_a, pair_b)
+        if well_separated_mask(flat, pair_a, pair_b, gap, s)[0]:
             pairs.add((a, b))
             return
         if flat.left_child[a] < 0:

@@ -25,7 +25,7 @@ from repro.emst import emst, emst_bruteforce, emst_gfk, emst_memogfk, emst_naive
 from repro.estimators import EMST, HDBSCAN
 from repro.hdbscan import core_distances, hdbscan_mst_bruteforce, hdbscan_mst_memogfk
 from repro.mst import boruvka, kruskal, total_weight
-from repro.parallel import UnionFind, prefix_sum
+from repro.parallel import UnionFind
 from repro.spatial import KDTree
 from repro.wspd import compute_wspd_ids
 from repro.wspd.wspd import validate_wspd_realization
@@ -311,16 +311,6 @@ class TestDendrogramProperties:
 
 
 class TestSubstrateProperties:
-    @SETTINGS
-    @given(values=st.lists(st.integers(-1000, 1000), max_size=200))
-    def test_prefix_sum_matches_reference(self, values):
-        prefix, tot = prefix_sum(values)
-        running = 0
-        for index, value in enumerate(values):
-            assert prefix[index] == running
-            running += value
-        assert tot == sum(values)
-
     @SETTINGS
     @given(
         n=st.integers(2, 60),

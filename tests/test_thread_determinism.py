@@ -10,10 +10,12 @@ exception propagation, workspace buffer reuse).
 """
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.approx import approx_emst
 from repro.emst import emst_gfk, emst_memogfk
 from repro.hdbscan import hdbscan
 from repro.mst.kruskal import parallel_argsort
@@ -131,9 +133,9 @@ class TestShardedPathsEngage:
     their inline fallback, so the driver tests above would pass even with a
     broken shard kernel.  Here the thresholds are lowered (they are read at
     call time for exactly this purpose) so a 500-point run shards its
-    frontier masks, bound sweeps, sort chunks, k-NN blocks and BCCP tasks
-    across a real 4-worker pool — and must still match the unsharded
-    single-thread run bit for bit.
+    frontier gaps and masks, edge-weight sweeps, sort chunks, k-NN blocks
+    and BCCP tasks across a real 4-worker pool — and must still match the
+    unsharded single-thread run bit for bit.
     """
 
     @pytest.fixture()
@@ -152,17 +154,32 @@ class TestShardedPathsEngage:
         monkeypatch.setattr(knn_module, "_CHUNK_BUDGET_BYTES", 1 << 12)
         monkeypatch.setattr(bccp_module, "_LARGE_PAIR_ELEMENTS", 256)
 
-    @pytest.mark.parametrize("driver", [emst_gfk, emst_memogfk], ids=["gfk", "memogfk"])
+    @pytest.mark.parametrize(
+        "driver",
+        [emst_gfk, emst_memogfk, partial(approx_emst, epsilon=0.1)],
+        ids=["gfk", "memogfk", "wspd-approx"],
+    )
     def test_emst_sharded_matches_inline(self, cluster_points, tiny_chunks, driver):
         inline = driver(cluster_points)
         sharded = driver(cluster_points, num_threads=4)
         for inline_col, sharded_col in zip(_edge_arrays(inline), _edge_arrays(sharded)):
             assert np.array_equal(inline_col, sharded_col)
 
-    @pytest.mark.parametrize("method", ["gantao", "memogfk"])
-    def test_hdbscan_sharded_matches_inline(self, cluster_points, tiny_chunks, method):
-        inline = hdbscan(cluster_points, min_pts=5, method=method)
-        sharded = hdbscan(cluster_points, min_pts=5, method=method, num_threads=4)
+    @pytest.mark.parametrize(
+        "method, options",
+        [
+            pytest.param("gantao", {}, id="gantao"),
+            pytest.param("memogfk", {}, id="memogfk"),
+            pytest.param("wspd-approx", {"epsilon": 0.1}, id="wspd-approx"),
+        ],
+    )
+    def test_hdbscan_sharded_matches_inline(
+        self, cluster_points, tiny_chunks, method, options
+    ):
+        inline = hdbscan(cluster_points, min_pts=5, method=method, **options)
+        sharded = hdbscan(
+            cluster_points, min_pts=5, method=method, num_threads=4, **options
+        )
         assert np.array_equal(inline.core_distances, sharded.core_distances)
         for inline_col, sharded_col in zip(
             _edge_arrays(inline.mst), _edge_arrays(sharded.mst)

@@ -1,10 +1,13 @@
 """Tests for the well-separated pair decomposition and separation predicates."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError, NotComputedError
-from repro.hdbscan import core_distances
+from repro.emst import emst_memogfk
+from repro.hdbscan import core_distances, hdbscan
 from repro.spatial import KDTree
 from repro.wspd import (
     compute_wspd_ids,
@@ -16,12 +19,15 @@ from repro.wspd import (
     node_max_distances,
     well_separated_mask,
 )
-from repro.wspd.wspd import validate_wspd_realization
+from repro.wspd.separation import center_gaps
+from repro.wspd.wspd import iterate_wspd_ids, validate_wspd_realization
 
 
 def _one(mask, flat, a, b, *args):
-    """A frontier predicate evaluated on the single node pair ``(a, b)``."""
-    return mask(flat, np.array([a]), np.array([b]), *args)[0]
+    """A frontier predicate evaluated on the single node pair ``(a, b)`` and
+    its center gap, as the traversals pass it."""
+    a, b = np.array([a]), np.array([b])
+    return mask(flat, a, b, center_gaps(flat, a, b), *args)[0]
 
 
 def _root_children(tree):
@@ -99,7 +105,8 @@ class TestWSPDConstruction:
     def test_every_recorded_pair_is_well_separated(self, small_points_2d):
         tree = KDTree(small_points_2d, leaf_size=1)
         a_ids, b_ids = compute_wspd_ids(tree, s=2.0)
-        assert well_separated_mask(tree.flat, a_ids, b_ids, 2.0).all()
+        gap = center_gaps(tree.flat, a_ids, b_ids)
+        assert well_separated_mask(tree.flat, a_ids, b_ids, gap, 2.0).all()
 
     def test_linear_number_of_pairs(self):
         # The number of pairs should grow roughly linearly in n for fixed
@@ -154,3 +161,77 @@ class TestWSPDConstruction:
         points = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
         tree = KDTree(points, leaf_size=1)
         assert validate_wspd_realization(tree, *compute_wspd_ids(tree))
+
+
+class TestOneGapPerFrontierPair:
+    """Every visited frontier pair has its center gap evaluated once per
+    traversal pass: the window bounds and the separation predicates all read
+    the one array the pass computed."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(11)
+        blobs = np.vstack(
+            [rng.normal(0.0, 0.05, (160, 2)), rng.normal(1.0, 0.08, (160, 2))]
+        )
+        return np.vstack([blobs, blobs[::8]])  # 40 exact duplicates
+
+    @pytest.fixture()
+    def gap_log(self, monkeypatch):
+        # Modules named through sys.modules: the package attributes can be
+        # shadowed by re-exported functions of the same name.
+        separation = importlib.import_module("repro.wspd.separation")
+        # A 64-pair default chunk makes the 4-thread runs shard their sweeps.
+        monkeypatch.setattr(
+            importlib.import_module("repro.parallel.pool"), "DEFAULT_CHUNK", 64
+        )
+        original = separation.center_gaps
+        log = []
+
+        def recording(flat, a, b):
+            log.append(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1))
+            return original(flat, a, b)
+
+        monkeypatch.setattr(separation, "center_gaps", recording)
+        return log
+
+    @staticmethod
+    def _assert_once(pairs):
+        pairs = np.concatenate(pairs)
+        assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0]
+
+    @pytest.mark.parametrize("num_threads", [1, 4])
+    @pytest.mark.parametrize("fit", ["emst", "hdbscan"])
+    def test_memogfk_passes(self, points, gap_log, monkeypatch, fit, num_threads):
+        memogfk = importlib.import_module("repro.emst.memogfk")
+        passes = []
+
+        def one_pass(traversal):
+            def wrapped(*args, **kwargs):
+                del gap_log[:]
+                result = traversal(*args, **kwargs)
+                if gap_log:
+                    passes.append((traversal.__name__, list(gap_log)))
+                return result
+
+            return wrapped
+
+        for name in ("_get_rho", "_get_pairs"):
+            monkeypatch.setattr(memogfk, name, one_pass(getattr(memogfk, name)))
+        if fit == "emst":
+            emst_memogfk(points, num_threads=num_threads)
+        else:
+            hdbscan(points, min_pts=5, method="memogfk", num_threads=num_threads)
+        assert {name for name, _ in passes} == {"_get_rho", "_get_pairs"}
+        for _, pairs in passes:
+            self._assert_once(pairs)
+
+    @pytest.mark.parametrize("num_threads", [1, 4])
+    def test_hdbscan_wspd_pass(self, points, gap_log, num_threads):
+        tree = KDTree(points, leaf_size=1)
+        tree.annotate_core_distances(core_distances(points, 5))
+        batches = list(
+            iterate_wspd_ids(tree.flat, separation="hdbscan", num_threads=num_threads)
+        )
+        assert batches and gap_log
+        self._assert_once(gap_log)
